@@ -1,4 +1,4 @@
-.PHONY: all build test race lint fmt bench bench-baseline
+.PHONY: all build test race lint fmt bench bench-baseline perf perf-selfcheck perf-smoke
 
 all: build lint test
 
@@ -35,3 +35,18 @@ BENCH_EXPERIMENTS = pipeline,gather,fig13,saturation,saturation-wall,allreduce,a
 
 bench-baseline:
 	go run ./cmd/maltbench -exp $(BENCH_EXPERIMENTS) -json > BENCH_BASELINE.json
+
+# maltperf (benchmark/) is a nested module that compiles against compress,
+# core, vol, dstorm and stream, so `go build ./...` and `go test ./...` here
+# never see it. perf-smoke is the fence: it fails when a signature change in
+# this module breaks the benchmark (CI runs it). perf prints every workload's
+# end-to-end metrics; perf-selfcheck runs the benchmark against itself to
+# show the box's A/A noise next to the bounds. See benchmark/README.md.
+perf:
+	bash benchmark/run.sh --workload all
+
+perf-selfcheck:
+	bash benchmark/run.sh --selfcheck
+
+perf-smoke:
+	cd benchmark && go vet ./... && go test ./... && go run malt/cmd/maltlint ./...

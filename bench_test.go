@@ -17,6 +17,7 @@ import (
 
 	"malt/internal/baseline/allreduce"
 	"malt/internal/bench"
+	"malt/internal/compress"
 	"malt/internal/dataflow"
 	"malt/internal/dstorm"
 	"malt/internal/fabric"
@@ -554,10 +555,15 @@ func BenchmarkGradientCompression(b *testing.B) {
 			for i := 0; i < touched; i++ {
 				delta[i*(dim/touched)] = float64(i%17) - 8
 			}
+			var up malt.SparseUpdate
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				up := vol.TopK(delta, tc.k)
-				if _, err := vecs[0].ScatterSparse(up, uint64(i+1)); err != nil {
+				up.Idx = compress.SelectTopK(delta, tc.k, up.Idx)
+				up.Val = up.Val[:0]
+				for _, ix := range up.Idx {
+					up.Val = append(up.Val, delta[ix])
+				}
+				if _, err := vecs[0].ScatterSparse(&up, uint64(i+1)); err != nil {
 					b.Fatal(err)
 				}
 			}

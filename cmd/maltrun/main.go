@@ -244,12 +244,17 @@ func main() {
 	}
 	if compOpts.Enabled() {
 		pre, post := agg.Count(trace.BytesPrecompress), agg.Count(trace.BytesPostcompress)
-		reduction := 0.0
+		reduction, planMs := 0.0, 0.0
 		if post > 0 {
 			reduction = float64(pre) / float64(post)
 		}
-		fmt.Printf("compression: %.1f MB raw -> %.1f MB shipped (%.1fx), residual L1 %.3f, tightest link ratio 1/%.1f\n",
-			float64(pre)/(1<<20), float64(post)/(1<<20), reduction,
+		// One update is one destination's 8·dim raw bytes; destinations
+		// that share a plan split its cost.
+		if updates := pre / uint64(8*ds.Dim); updates > 0 {
+			planMs = float64(agg.Count(trace.CompressPlanNs)) / 1e6 / float64(updates)
+		}
+		fmt.Printf("compression: %.1f MB raw -> %.1f MB shipped (%.1fx), plan %.4f ms/update, residual L1 %.3f, tightest link ratio 1/%.1f\n",
+			float64(pre)/(1<<20), float64(post)/(1<<20), reduction, planMs,
 			float64(agg.Count(trace.ResidualNorm))/1e6,
 			float64(agg.Count(trace.RatioPerLink))/1e3)
 	}

@@ -149,11 +149,8 @@ func (topkCodec) RatioDriven() bool { return true }
 func (topkCodec) MaxBodyBytes(n int) int { return 4 + 12*n }
 
 func (topkCodec) Plan(p *Plan, acc []float64, ratio float64) {
-	p.reset(topkCodec{}, len(acc))
-	p.selIdx = SelectTopK(acc, ratioK(ratio, len(acc)), p.selIdx)
-	for i := range p.Recon {
-		p.Recon[i] = 0
-	}
+	p.resetSparse(topkCodec{}, len(acc))
+	p.selIdx = p.sel.topK(acc, ratioK(ratio, len(acc)), p.selIdx)
 	for _, ix := range p.selIdx {
 		p.Recon[ix] = acc[ix]
 	}
@@ -251,8 +248,9 @@ func (int8Codec) Plan(p *Plan, acc []float64, ratio float64) {
 		}
 		p.raw[b] = false
 		p.exps[b] = int8(e)
+		scale := math.Ldexp(1, e)
 		for i := blo; i < bhi; i++ {
-			p.q[i], p.Recon[i] = quantize(acc[i], e)
+			p.q[i], p.Recon[i] = quantize(acc[i], scale)
 		}
 	}
 }
@@ -350,11 +348,8 @@ func (hybridCodec) MaxBodyBytes(n int) int {
 
 func (hybridCodec) Plan(p *Plan, acc []float64, ratio float64) {
 	dim := len(acc)
-	p.reset(hybridCodec{}, dim)
-	p.selIdx = SelectTopK(acc, ratioK(ratio, dim), p.selIdx)
-	for i := range p.Recon {
-		p.Recon[i] = 0
-	}
+	p.resetSparse(hybridCodec{}, dim)
+	p.selIdx = p.sel.topK(acc, ratioK(ratio, dim), p.selIdx)
 	k := len(p.selIdx)
 	nGroups := (k + GroupPairs - 1) / GroupPairs
 	p.exps = resizeI8(p.exps, nGroups)
@@ -383,9 +378,10 @@ func (hybridCodec) Plan(p *Plan, acc []float64, ratio float64) {
 		}
 		p.raw[g] = false
 		p.exps[g] = int8(e)
+		scale := math.Ldexp(1, e)
 		for pos := glo; pos < ghi; pos++ {
 			ix := p.selIdx[pos]
-			p.q[pos], p.Recon[ix] = quantize(acc[ix], e)
+			p.q[pos], p.Recon[ix] = quantize(acc[ix], scale)
 		}
 	}
 }

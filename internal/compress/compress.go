@@ -16,10 +16,11 @@
 //     unbucketed path: the union of the per-bucket frames is exactly the
 //     whole-vector frame's content, for any bucket size.
 //
-//   - A per-destination State (one residual vector per link). Every scale
-//     the quantizing codecs use is a power of two chosen so |q| <= 127,
-//     which makes q·2^e exact and — by the Sterbenz lemma — makes
-//     residual = acc − recon exact too: recon + residual equals the
+//   - A per-destination State (one residual vector per link; links whose
+//     histories agree share it, so an all-to-all scatter plans once). Every
+//     scale the quantizing codecs use is a power of two chosen so
+//     |q| <= 127, which makes q·2^e exact and — by the Sterbenz lemma —
+//     makes residual = acc − recon exact too: recon + residual equals the
 //     residual-corrected gradient bit for bit, every iteration, for every
 //     codec. Conservation is a testable invariant, not an approximation.
 //
@@ -146,16 +147,21 @@ type Codec interface {
 
 // Plan is one planned (analyzed) update: the exact reconstruction plus the
 // codec's global decisions, reusable across EncodeRange calls and across
-// updates (buffers are recycled).
+// updates (buffers and selection scratch are recycled).
 type Plan struct {
 	// Recon is the dim-length reconstruction every receiver will decode;
-	// the caller's residual update is acc − Recon.
+	// the caller's residual update is acc − Recon. Read-only: a selecting
+	// codec relies on it staying zero outside its selection between plans.
 	Recon []float64
 
 	codec Codec
 	// selIdx holds the globally selected coordinates, ascending
 	// (topk, hybrid).
 	selIdx []int32
+	// sparse records that Recon is zero outside selIdx (topk, hybrid), so
+	// the next plan clears, and the residual subtracts, only those entries.
+	sparse bool
+	sel    selector
 	// exps and raw are per-block (int8: 256-coordinate blocks; hybrid:
 	// 64-pair groups) power-of-two exponents and raw-passthrough flags.
 	exps []int8
@@ -165,13 +171,45 @@ type Plan struct {
 	q []int8
 }
 
-// reset prepares the plan for a dim-length update under codec c.
+// reset prepares the plan for a dim-length update under a codec that writes
+// every coordinate of Recon.
 func (p *Plan) reset(c Codec, dim int) {
 	p.codec = c
+	p.sparse = false
 	if cap(p.Recon) < dim {
 		p.Recon = make([]float64, dim)
 	}
 	p.Recon = p.Recon[:dim]
+}
+
+// resetSparse prepares the plan for a dim-length update under a selecting
+// codec: Recon is all zero on return. When the previous plan was sparse too
+// that costs one store per previously selected coordinate, not dim.
+func (p *Plan) resetSparse(c Codec, dim int) {
+	if p.sparse && len(p.Recon) == dim {
+		for _, ix := range p.selIdx {
+			p.Recon[ix] = 0
+		}
+	} else {
+		p.reset(c, dim)
+		clear(p.Recon)
+	}
+	p.codec = c
+	p.sparse = true
+}
+
+// subtractRecon turns acc into the residual acc − Recon in place. Outside a
+// sparse plan's selection Recon is zero and acc already is its own residual.
+func (p *Plan) subtractRecon(acc []float64) {
+	if p.sparse {
+		for _, ix := range p.selIdx {
+			acc[ix] -= p.Recon[ix]
+		}
+		return
+	}
+	for i, r := range p.Recon {
+		acc[i] -= r
+	}
 }
 
 // Registry. Codecs are fixed at compile time; the map is read-only after
@@ -210,46 +248,6 @@ func byID(id byte) Codec {
 		}
 	}
 	return nil
-}
-
-// SelectTopK returns the indices of the k largest-magnitude nonzero entries
-// of data, ascending. Non-finite entries (NaN, ±Inf) rank above every
-// finite magnitude — they must ship, or error feedback would carry them
-// forward forever — and ties break toward the lower index, so the selection
-// is deterministic for any input. k is clamped to the number of nonzero
-// entries (k <= 0 selects nothing; k >= that count selects them all). dst
-// is reused when its capacity suffices.
-func SelectTopK(data []float64, k int, dst []int32) []int32 {
-	idx := dst[:0]
-	if k <= 0 {
-		return idx
-	}
-	for i, v := range data {
-		if v != 0 { // true for NaN too (NaN != 0)
-			idx = append(idx, int32(i))
-		}
-	}
-	if len(idx) > k {
-		sort.Slice(idx, func(a, b int) bool {
-			ka, kb := selKey(data[idx[a]]), selKey(data[idx[b]])
-			if ka != kb {
-				return ka > kb
-			}
-			return idx[a] < idx[b]
-		})
-		idx = idx[:k]
-		sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
-	}
-	return idx
-}
-
-// selKey ranks a value for top-k selection: NaN sorts with +Inf (always
-// selected), everything else by magnitude.
-func selKey(v float64) float64 {
-	if math.IsNaN(v) {
-		return math.Inf(1)
-	}
-	return math.Abs(v)
 }
 
 // ratioK converts a ship-fraction into a coordinate budget over n.
@@ -300,12 +298,12 @@ func pow2Exp(maxAbs float64) (e int, ok bool) {
 	return e, true
 }
 
-// quantize returns round(v/2^e) clamped to [-127, 127] and the exact
-// reconstruction q·2^e. v must be finite. The reconstruction is computed
-// from the int8 — not the pre-truncation float — so a value that rounds to
-// -0 reconstructs as +0 on both sides of the wire.
-func quantize(v float64, e int) (q int8, recon float64) {
-	scale := math.Ldexp(1, e)
+// quantize returns round(v/scale) clamped to [-127, 127] and the exact
+// reconstruction q·scale, for scale = 2^e (the caller hoists the Ldexp: one
+// per block, not one per coordinate). v must be finite. The reconstruction
+// is computed from the int8 — not the pre-truncation float — so a value
+// that rounds to -0 reconstructs as +0 on both sides of the wire.
+func quantize(v, scale float64) (q int8, recon float64) {
 	qq := math.Round(v / scale)
 	if qq > 127 {
 		qq = 127

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 // testVectors returns named gradient-like inputs covering the codecs'
@@ -247,7 +248,9 @@ func TestStatePerfAccounting(t *testing.T) {
 	}
 }
 
-// TestSelectTopK covers the edge cases the orphaned vol.TopK mishandled.
+// TestSelectTopK pins the selection contract case by case: k clamping,
+// zeros never ship, magnitude not sign, ties to the lower index, non-finite
+// entries outrank every finite one and tie among themselves by index.
 func TestSelectTopK(t *testing.T) {
 	cases := []struct {
 		name string
@@ -259,14 +262,21 @@ func TestSelectTopK(t *testing.T) {
 		{"k negative", []float64{1, 2, 3}, -5, []int32{}},
 		{"k equals dim", []float64{1, -2, 3}, 3, []int32{0, 1, 2}},
 		{"k exceeds dim", []float64{1, -2, 3}, 99, []int32{0, 1, 2}},
+		{"k exceeds dim skips zeros", []float64{1, 0, 3}, 10, []int32{0, 2}},
 		{"zeros never selected", []float64{0, 5, 0, -3}, 4, []int32{1, 3}},
 		{"all zeros", []float64{0, 0, 0}, 2, []int32{}},
+		{"largest magnitudes", []float64{0.1, -5, 0, 2, -0.5, 3}, 2, []int32{1, 5}},
 		{"ties break to lower index", []float64{2, -2, 2, -2}, 2, []int32{0, 1}},
+		{"ties across sign", []float64{-7, 7}, 1, []int32{0}},
 		{"magnitude not sign", []float64{-10, 1, 9}, 2, []int32{0, 2}},
 		{"NaN always selected", []float64{1, math.NaN(), 3, 2}, 2, []int32{1, 2}},
+		{"NaN outranks finite", []float64{9, math.NaN(), 1}, 1, []int32{1}},
 		{"Inf outranks finite", []float64{5, math.Inf(-1), 1}, 1, []int32{1}},
+		{"Inf outranks MaxFloat64", []float64{math.MaxFloat64, math.Inf(-1)}, 1, []int32{1}},
 		{"NaN ties with Inf by index", []float64{math.Inf(1), math.NaN(), 100}, 2, []int32{0, 1}},
+		{"NaN before Inf by index", []float64{1, math.NaN(), math.Inf(1)}, 2, []int32{1, 2}},
 		{"empty data", []float64{}, 3, []int32{}},
+		{"nil data", nil, 3, []int32{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -278,6 +288,64 @@ func TestSelectTopK(t *testing.T) {
 				t.Errorf("SelectTopK(%v, %d) = %v, want %v", tc.data, tc.k, got, tc.want)
 			}
 		})
+	}
+}
+
+// TestSelectTopKDeterministicOnTies: selection is a pure function of the
+// input even when every magnitude ties, and takes the lowest indices.
+func TestSelectTopKDeterministicOnTies(t *testing.T) {
+	data := make([]float64, 200)
+	for i := range data {
+		data[i] = 1.5
+	}
+	for trial := 0; trial < 10; trial++ {
+		got := SelectTopK(data, 50, nil)
+		if len(got) != 50 {
+			t.Fatalf("trial %d: selected %d, want 50", trial, len(got))
+		}
+		for i, ix := range got {
+			if ix != int32(i) {
+				t.Fatalf("trial %d: idx[%d] = %d, tied selection should take the lowest indices", trial, i, ix)
+			}
+		}
+	}
+}
+
+// TestSelectTopKDominance: never more than k indices, strictly ascending,
+// and no unselected magnitude exceeds a selected one.
+func TestSelectTopKDominance(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(64)
+		k := rng.Intn(n + 1)
+		data := make([]float64, n)
+		for i := range data {
+			if rng.Float64() < 0.7 {
+				data[i] = rng.NormFloat64()
+			}
+		}
+		sel := SelectTopK(data, k, nil)
+		if len(sel) > k {
+			return false
+		}
+		selected := make([]bool, n)
+		minSel := math.Inf(1)
+		for i, ix := range sel {
+			if i > 0 && ix <= sel[i-1] {
+				return false
+			}
+			selected[ix] = true
+			minSel = math.Min(minSel, math.Abs(data[ix]))
+		}
+		for i, v := range data {
+			if !selected[i] && math.Abs(v) > minSel {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -318,6 +318,7 @@ func (c *Cluster) runRank(r int, fn func(ctx *Context) error) RankResult {
 			cp := v.CompressPerf()
 			ctx.timer.AddCount(trace.BytesPrecompress, cp.BytesPre)
 			ctx.timer.AddCount(trace.BytesPostcompress, cp.BytesPost)
+			ctx.timer.AddCount(trace.CompressPlanNs, cp.PlanNs)
 			ctx.timer.AddCount(trace.ResidualNorm, cp.ResidualNormMicro)
 			ctx.timer.MaxCount(trace.RatioPerLink, cp.HardestInvRatioMilli)
 		}

@@ -549,6 +549,25 @@ func (s *Segment) gather(mode GatherMode, atomic bool) ([]Update, error) {
 func (s *Segment) drainQueue(from int, q *queue, mode GatherMode, atomic bool) {
 	q.consumedMu.Lock()
 	defer q.consumedMu.Unlock()
+	s.drainUpTo(from, q, q.newestSeq(), mode, atomic)
+}
+
+// newestSeq peeks every slot for the freshest sequence present in the ring.
+func (q *queue) newestSeq() uint64 {
+	var newest uint64
+	for i := range q.slots {
+		if sq, _ := q.slots[i].peek(); sq > newest {
+			newest = sq
+		}
+	}
+	return newest
+}
+
+// drainUpTo consumes sequences (q.consumed, newest] — newest as peeked a
+// moment ago; the sender keeps writing meanwhile. Every sequence in the
+// window ends up consumed or counted overwritten. Caller holds
+// q.consumedMu.
+func (s *Segment) drainUpTo(from int, q *queue, newest uint64, mode GatherMode, atomic bool) {
 	q.ups = q.ups[:0]
 	bufIdx := 0
 	grab := func() []byte {
@@ -561,13 +580,6 @@ func (s *Segment) drainQueue(from int, q *queue, mode GatherMode, atomic bool) {
 		q.bufs = append(q.bufs, b)
 		bufIdx++
 		return b
-	}
-	// Find the freshest sequence present across the ring.
-	var newest uint64
-	for i := range q.slots {
-		if sq, _ := q.slots[i].peek(); sq > newest {
-			newest = sq
-		}
 	}
 	if newest <= q.consumed {
 		return
@@ -594,9 +606,15 @@ func (s *Segment) drainQueue(from int, q *queue, mode GatherMode, atomic bool) {
 			gotSeq, gotIter, n, torn = sl.readWeak(buf)
 		}
 		if gotSeq != sq && atomic {
-			// The slot was lapped between peek and read; its content is
-			// a newer item we will pick up (or already did) at its own
-			// sequence position. Skip the overwritten one.
+			// Not the item we came for. A newer one means the slot was
+			// lapped between peek and read: sq was delivered and lost, and
+			// the newer item is picked up at its own sequence position by a
+			// later drain. An older one means sq was never addressed to this
+			// rank (a ScatterTo subset skips sequence numbers); nothing was
+			// lost.
+			if gotSeq > sq {
+				q.overwritten++
+			}
 			bufIdx--
 			continue
 		}

@@ -631,6 +631,70 @@ func TestSegmentStatsCountConsumedAndOverwritten(t *testing.T) {
 	}
 }
 
+// TestLappedSlotCountsOverwritten laps a slot between a drain's peek and its
+// read — the ASP race, made deterministic by running the two halves of
+// drainQueue by hand with a scatter in between — and checks the account
+// stays exact: every delivered update is consumed or overwritten, the one
+// lost to the lap included.
+func TestLappedSlotCountsOverwritten(t *testing.T) {
+	const qlen = 4
+	_, segs := newTestCluster(t, 2, SegmentOptions{ObjectSize: 8, QueueLen: qlen})
+	send := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := segs[0].Scatter([]byte("x"), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	send(qlen) // sequences 1..4 fill the ring
+	recv := segs[1]
+	q := recv.queues[0]
+	q.consumedMu.Lock()
+	newest := q.newestSeq() // the drain peeks: 4
+	send(1)                 // sequence 5 laps the slot holding 1
+	recv.drainUpTo(0, q, newest, GatherAllNew, true)
+	got := len(q.ups)
+	q.consumedMu.Unlock()
+	if newest != qlen || got != qlen-1 {
+		t.Fatalf("peeked newest %d, drained %d updates; want %d and %d", newest, got, qlen, qlen-1)
+	}
+	if st := recv.Stats(); st.Overwritten != 1 {
+		t.Fatalf("Overwritten = %d after a lapped slot, want 1", st.Overwritten)
+	}
+	ups, err := recv.Gather(GatherAllNew) // picks up sequence 5
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ups) != 1 || ups[0].Seq != qlen+1 {
+		t.Fatalf("follow-up gather = %+v, want sequence %d alone", ups, qlen+1)
+	}
+	// Consumed counts what Gather returned; add the hand-run drain's.
+	if st := recv.Stats(); st.Consumed+uint64(got)+st.Overwritten != qlen+1 {
+		t.Fatalf("consumed %d+%d + overwritten %d != %d delivered", st.Consumed, got, st.Overwritten, qlen+1)
+	}
+}
+
+// TestSkippedSequenceIsNotOverwritten: a ScatterTo subset leaves holes in
+// the sequence numbers the other peers see; a hole is not a lost update.
+func TestSkippedSequenceIsNotOverwritten(t *testing.T) {
+	_, segs := newTestCluster(t, 3, SegmentOptions{ObjectSize: 8, QueueLen: 4})
+	for i := 0; i < 3; i++ {
+		if _, err := segs[0].ScatterTo([]int{1 + i%2}, []byte("x"), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for r, want := range map[int]int{1: 2, 2: 1} {
+		ups, err := segs[r].Gather(GatherAllNew)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := segs[r].Stats(); len(ups) != want || st.Overwritten != 0 {
+			t.Fatalf("rank %d gathered %d (want %d), overwritten %d (want 0)", r, len(ups), want, st.Overwritten)
+		}
+	}
+}
+
 func TestBarrierScopedToPartition(t *testing.T) {
 	// Four ranks block at a barrier; a partition splits them 2+2 mid-wait.
 	// Each side's barrier must release independently — the paper's

@@ -55,7 +55,7 @@ func TestSendScratchSteadyState(t *testing.T) {
 	}
 	// A GC between runs may evict pooled buffers; allow a small residue but
 	// fail if copies are being allocated per operation again.
-	if misses > gets/10 {
+	if misses > gets/10 && !raceEnabled {
 		t.Fatalf("steady-state pool misses = %d of %d gets; send copies are not being recycled", misses, gets)
 	}
 
@@ -87,7 +87,7 @@ func TestSendScratchSteadyState(t *testing.T) {
 	if err := n.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if misses := sendBufMisses.Load() - missesBefore; misses > measured/10 {
+	if misses := sendBufMisses.Load() - missesBefore; misses > measured/10 && !raceEnabled {
 		t.Fatalf("async-send steady state allocated %d fresh copies for %d scatters", misses, measured)
 	}
 }

@@ -87,13 +87,17 @@ func (w *scratchWalker) reportf(pos token.Pos, format string, args ...any) {
 }
 
 // stateMethod returns the method name when call is a compress.State method
-// from the scratch-producing or re-planning set.
+// from the scratch-producing or re-planning set. BeginGroup re-plans exactly
+// as Begin does and reports as "Begin".
 func stateMethod(info *types.Info, call *ast.CallExpr) string {
 	fn := funcFor(info, call)
 	if fn == nil {
 		return ""
 	}
-	switch fn.Name() {
+	name := fn.Name()
+	switch name {
+	case "BeginGroup":
+		name = "Begin"
 	case "Begin", "Recon", "Residual", "EncodeRange":
 	default:
 		return ""
@@ -102,7 +106,7 @@ func stateMethod(info *types.Info, call *ast.CallExpr) string {
 	if !isMethod || pkgPath != compressPkgPath || typeName != "State" {
 		return ""
 	}
-	return fn.Name()
+	return name
 }
 
 func (w *scratchWalker) block(stmts []ast.Stmt, scratch scratchSet) scratchSet {

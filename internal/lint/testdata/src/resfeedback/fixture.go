@@ -27,6 +27,19 @@ func staleFrame(st *compress.State, a []float64, buf []byte) []byte {
 	return frame // want `read after the Begin`
 }
 
+// BeginGroup re-plans exactly as Begin does.
+func staleAcrossGroups(st *compress.State, peers []int, ratios, a []float64) float64 {
+	var recon []float64
+	for _, g := range st.Groups(peers, ratios) {
+		st.BeginGroup(g, a)
+		if recon != nil { // want `read after the Begin`
+			return recon[0] // want `read after the Begin`
+		}
+		recon = st.Recon()
+	}
+	return 0
+}
+
 // The per-peer scatter loop's back edge: recon obtained for peer N is
 // still aliased when peer N+1's Begin re-plans; only the second loop-body
 // walk sees the collision.

@@ -90,6 +90,10 @@ const (
 	BytesPrecompress
 	// BytesPostcompress is the compressed frame bytes actually shipped.
 	BytesPostcompress
+	// CompressPlanNs is nanoseconds spent planning compressed updates
+	// (residual correction, top-k selection, quantization) — the codec's
+	// compute cost, as BytesPostcompress is its wire cost.
+	CompressPlanNs
 	// ResidualNorm is the final L1 norm of the error-feedback residuals in
 	// micro-units (×1e6), summed over links — gradient mass still deferred
 	// when the run ended.
@@ -127,6 +131,8 @@ func (c Counter) String() string {
 		return "bytes_precompress"
 	case BytesPostcompress:
 		return "bytes_postcompress"
+	case CompressPlanNs:
+		return "compress_plan_ns"
 	case ResidualNorm:
 		return "residual_norm"
 	case RatioPerLink:
@@ -138,7 +144,7 @@ func (c Counter) String() string {
 
 // Counters lists all counters in display order.
 func Counters() []Counter {
-	return []Counter{WritesSaved, BytesMerged, QueuePeak, DecodeTasks, ChunksFolded, ScratchHits, BucketsSent, ExposedCommNs, OverlappedNs, BytesPrecompress, BytesPostcompress, ResidualNorm, RatioPerLink}
+	return []Counter{WritesSaved, BytesMerged, QueuePeak, DecodeTasks, ChunksFolded, ScratchHits, BucketsSent, ExposedCommNs, OverlappedNs, BytesPrecompress, BytesPostcompress, CompressPlanNs, ResidualNorm, RatioPerLink}
 }
 
 // Timer accumulates time per phase and event counts per counter.

@@ -10,13 +10,14 @@ import (
 // Compressed scatter path.
 //
 // A compressed Vector ships codec frames (internal/compress) instead of raw
-// float64s. Unlike every other scatter, the payload differs per destination:
-// each link carries its own error-feedback residual, so the
-// residual-corrected update — and therefore the planned frame — is
-// per-peer. Scatters therefore loop over destinations, Begin-ing the
-// compression state once per peer and sending that peer its own frame(s);
-// dstorm's Segment copies each payload into its own buffers synchronously,
-// so one encode buffer serves all peers.
+// float64s. The payload depends on the destination's error-feedback
+// residual, but destinations whose residuals and ratios agree — all of them
+// under an all-to-all dataflow at one ratio — receive identical bytes, so a
+// scatter asks the compression state to group its destinations, plans and
+// encodes each frame once per group, and hands dstorm the group's peer list.
+// A link leaves its group when it diverges (an adaptive ratio, a subset
+// scatter, an eviction); dstorm's Segment copies each payload into its own
+// buffers synchronously, so one encode buffer serves every group.
 //
 // Composed with bucketing, each fragment is an ordinary bucket header whose
 // body is the frame for that bucket's coordinate range, sliced from the one
@@ -25,11 +26,12 @@ import (
 // per-bucket frames decodes to exactly the whole-vector frame's
 // reconstruction.
 
-// compState bundles a vector's per-destination compression state with the
-// optional adaptive per-link ratio controller.
+// compState bundles a vector's compression state with the optional
+// adaptive per-link ratio controller.
 type compState struct {
-	st  *compress.State
-	ctl *compress.Controller
+	st     *compress.State
+	ctl    *compress.Controller
+	ratios []float64 // per-scatter ratio of each destination, reused
 }
 
 // ratio returns the ratio in force for one destination.
@@ -50,6 +52,10 @@ type CompressPerf struct {
 	BytesPost uint64
 	// Frames is the number of frames produced.
 	Frames uint64
+	// PlanNs is wall-clock nanoseconds spent planning updates (residual
+	// correction, selection, quantization) — once per group of
+	// destinations sharing a residual, not once per destination.
+	PlanNs uint64
 	// ResidualNormMicro is the current L1 norm of all per-link residuals
 	// in micro-units (×1e6) — the gradient mass deferred by error
 	// feedback right now.
@@ -80,6 +86,7 @@ func (v *Vector) CompressPerf() CompressPerf {
 		BytesPre:          p.BytesPre,
 		BytesPost:         p.BytesPost,
 		Frames:            p.Frames,
+		PlanNs:            p.PlanNs,
 		ResidualNormMicro: uint64(math.Round(v.comp.st.ResidualNorm() * 1e6)),
 	}
 	hardest := v.comp.st.Options().Ratio
@@ -107,19 +114,25 @@ func (v *Vector) dropCompressPeer(rank int) {
 }
 
 // scatterCompressed pushes the local value to peers (nil = the dataflow
-// send list) as per-destination codec frames, fragmented per bucket when
-// the vector is bucketed.
+// send list) as codec frames — one plan and one encode per group of
+// destinations that share a residual and a ratio — fragmented per bucket
+// when the vector is bucketed.
 func (v *Vector) scatterCompressed(peers []int, iter uint64) ([]int, error) {
 	if peers == nil {
 		peers = v.seg.SendPeers()
 	}
 	v.scatterID++
-	var failed []int
+	c := v.comp
+	c.ratios = c.ratios[:0]
 	for _, peer := range peers {
-		v.comp.st.Begin(peer, v.data, v.comp.ratio(peer))
+		c.ratios = append(c.ratios, c.ratio(peer))
+	}
+	var failed []int
+	for _, g := range c.st.Groups(peers, c.ratios) {
+		c.st.BeginGroup(g, v.data)
 		if v.bucket == nil {
-			frame := v.comp.st.EncodeRange(v.encBuf[:0], 0, v.dim)
-			f, err := v.scatterToOne(peer, frame, iter)
+			frame := c.st.EncodeRange(v.encBuf[:0], 0, v.dim)
+			f, err := v.seg.ScatterTo(g.Peers, frame, iter)
 			if err != nil {
 				return failed, err
 			}
@@ -133,25 +146,17 @@ func (v *Vector) scatterCompressed(peers []int, iter uint64) ([]int, error) {
 			binary.LittleEndian.PutUint32(buf[8:12], uint32(lo))
 			binary.LittleEndian.PutUint32(buf[12:16], uint32(hi-lo))
 			binary.LittleEndian.PutUint32(buf[16:20], uint32(v.bucket.buckets))
-			payload := v.comp.st.EncodeRange(buf, lo, hi)
-			v.bucket.perf.FragmentsSent++
-			f, err := v.scatterToOne(peer, payload, iter)
+			payload := c.st.EncodeRange(buf, lo, hi)
+			v.bucket.perf.FragmentsSent += uint64(len(g.Peers))
+			f, err := v.seg.ScatterTo(g.Peers, payload, iter)
 			if err != nil {
 				return failed, err
 			}
 			failed = mergeFailed(failed, f)
 		}
 	}
-	if v.comp.ctl != nil {
-		v.comp.ctl.Tick(peers)
+	if c.ctl != nil {
+		c.ctl.Tick(peers)
 	}
 	return failed, nil
-}
-
-// scatterToOne sends one payload to a single destination, reusing the
-// vector's one-peer slice.
-func (v *Vector) scatterToOne(peer int, payload []byte, iter uint64) ([]int, error) {
-	v.peerBuf = append(v.peerBuf[:0], peer)
-	//maltlint:allow bufretain -- Segment encodes payload into its own buffer synchronously before enqueue (same contract ScatterBucket relies on)
-	return v.seg.ScatterTo(v.peerBuf, payload, iter)
 }

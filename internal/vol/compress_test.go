@@ -1,6 +1,7 @@
 package vol
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"malt/internal/dataflow"
 	"malt/internal/dstorm"
 	"malt/internal/fabric"
+	"malt/internal/ml/linalg"
 )
 
 // soloNode builds a one-rank cluster node plus its all-to-all graph for
@@ -252,5 +254,116 @@ func TestCompressedScatterBucketRejected(t *testing.T) {
 	}
 	if _, err := vecs[1].Gather(Sum); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTopKFilteredSparseScatter: the standalone sparse filter — a
+// compress.SelectTopK selection shipped through ScatterSparse — still
+// delivers the heavy coordinates and drops the light ones.
+func TestTopKFilteredSparseScatter(t *testing.T) {
+	vecs := newVectors(t, 2, 100, Sparse, Options{MaxNNZ: 10})
+	d := vecs[0].Data()
+	for i := range d {
+		d[i] = 0.01
+	}
+	d[7] = 5
+	d[42] = -3
+	up := &linalg.SparseVector{Idx: compress.SelectTopK(d, 2, nil)}
+	for _, ix := range up.Idx {
+		up.Val = append(up.Val, d[ix])
+	}
+	if _, err := vecs[0].ScatterSparse(up, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vecs[1].Gather(Sum); err != nil {
+		t.Fatal(err)
+	}
+	got := vecs[1].Data()
+	if got[7] != 5 || got[42] != -3 {
+		t.Fatalf("heavy coordinates lost: %v %v", got[7], got[42])
+	}
+	if got[0] != 0 {
+		t.Fatal("light coordinate should have been dropped")
+	}
+}
+
+// TestCompressedScatterSharesPlan: under an all-to-all dataflow at one ratio
+// every destination holds the same residual object and receives the same
+// frame, while the accounting still counts each destination.
+func TestCompressedScatterSharesPlan(t *testing.T) {
+	const ranks, dim, rounds = 4, 256, 3
+	vecs := newVectors(t, ranks, dim, Dense, Options{Compress: compress.Options{Codec: "hybrid", Ratio: 0.125}})
+	v := vecs[0]
+	for round := 0; round < rounds; round++ {
+		fillRank(v, 0, round)
+		if _, err := v.Scatter(uint64(round + 1)); err != nil {
+			t.Fatal(err)
+		}
+		var first []float64
+		for _, u := range vecs[1:] {
+			for i := range u.Data() {
+				u.Data()[i] = 0
+			}
+			if st, err := u.Gather(Sum); err != nil || st.Updates != 1 {
+				t.Fatalf("round %d: gather = %+v, %v", round, st, err)
+			}
+			if first == nil {
+				first = u.Data()
+			}
+			for i, x := range u.Data() {
+				if math.Float64bits(x) != math.Float64bits(first[i]) {
+					t.Fatalf("round %d coord %d: destinations decoded different updates", round, i)
+				}
+			}
+		}
+	}
+	st := v.comp.st
+	if &st.Residual(1)[0] != &st.Residual(2)[0] || &st.Residual(2)[0] != &st.Residual(3)[0] {
+		t.Fatal("destinations with identical histories do not share a residual")
+	}
+	p := v.CompressPerf()
+	if want := uint64(rounds * (ranks - 1)); p.Frames != want || p.BytesPre != want*8*dim {
+		t.Fatalf("perf = %+v, want %d frames and %d raw bytes (per destination)", p, want, want*8*dim)
+	}
+	if p.PlanNs == 0 {
+		t.Fatal("no plan time recorded")
+	}
+}
+
+// BenchmarkScatterCompressedFanout: one compressed scatter under dataflow
+// all, to 1 destination and to 7. Destinations share one plan and one
+// encode, so the 8-rank scatter costs the 2-rank one plus six more ring
+// deposits of an already encoded frame — not seven plans.
+func BenchmarkScatterCompressedFanout(b *testing.B) {
+	const dim = 50000
+	for _, ranks := range []int{2, 8} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			vecs := newVectors(b, ranks, dim, Dense, Options{QueueLen: 2, Compress: compress.Options{Codec: "hybrid"}})
+			v := vecs[0]
+			rng := rand.New(rand.NewSource(1))
+			updates := make([][]float64, 4)
+			for i := range updates {
+				updates[i] = make([]float64, dim)
+				for j := range updates[i] {
+					updates[i][j] = rng.NormFloat64()
+				}
+			}
+			scatter := func(i int) {
+				copy(v.Data(), updates[i%len(updates)])
+				if _, err := v.Scatter(uint64(i + 1)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < 8; i++ { // let the residual go dense
+				scatter(i)
+			}
+			planNs := v.CompressPerf().PlanNs
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				scatter(i)
+			}
+			b.ReportMetric(float64(v.CompressPerf().PlanNs-planNs)/float64(b.N), "plan-ns/op")
+		})
 	}
 }

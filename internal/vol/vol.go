@@ -174,8 +174,7 @@ type Vector struct {
 
 	// Compression state (nil unless Options.Compress names a codec; see
 	// compress.go).
-	comp    *compState
-	peerBuf []int // reusable single-destination slice for per-peer sends
+	comp *compState
 }
 
 // readyUpd is one completed logical update awaiting the fold.

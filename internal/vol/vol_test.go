@@ -14,7 +14,7 @@ import (
 	"malt/internal/ml/linalg"
 )
 
-func newVectors(t *testing.T, ranks, dim int, typ Type, opts Options) []*Vector {
+func newVectors(t testing.TB, ranks, dim int, typ Type, opts Options) []*Vector {
 	t.Helper()
 	f, err := fabric.New(fabric.Config{Ranks: ranks})
 	if err != nil {

@@ -199,15 +199,6 @@ var (
 // strictly increasing indices with their values.
 type SparseUpdate = linalg.SparseVector
 
-// TopK returns a sparse update holding the k largest-magnitude entries of
-// data — gradient compression for Vector.ScatterSparse.
-func TopK(data []float64, k int) *SparseUpdate { return vol.TopK(data, k) }
-
-// TopKResidual is TopK with error feedback: the selected entries are
-// zeroed in data so the caller can accumulate the dropped residual into
-// the next update.
-func TopKResidual(data []float64, k int) *SparseUpdate { return vol.TopKResidual(data, k) }
-
 // AddVector is a fetch-and-add gradient accumulator (the paper's proposed
 // hardware-averaging extension), created with Context.CreateAddVector:
 // peer scatters merge into the accumulator at deposit time; Drain fetches
