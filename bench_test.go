@@ -504,37 +504,6 @@ func BenchmarkPerSenderQueuesVsLockedInbox(b *testing.B) {
 	})
 }
 
-// BenchmarkTransports compares the in-process fabric with the loopback TCP
-// transport for a model-sized write.
-func BenchmarkTransports(b *testing.B) {
-	const dim = 47152
-	payload := make([]byte, 8*dim)
-	for _, tr := range []fabric.Delivery{fabric.InProc, fabric.TCP} {
-		b.Run(tr.String(), func(b *testing.B) {
-			f, err := fabric.New(fabric.Config{Ranks: 2, Delivery: tr})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer f.Close()
-			sink := make([]byte, len(payload))
-			if err := f.Register(1, "w", func(from int, p []byte) error {
-				copy(sink, p)
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(len(payload)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				//maltlint:allow bufretain -- raw-fabric baseline re-posts one read-only buffer; the fabric copies on deposit
-				if err := f.Write(0, 1, "w", payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkGradientCompression measures the traffic and time effect of
 // top-K compressed scatters versus full sparse scatters on a
 // webspam-shaped delta (§6.2's "compression and other filters").

@@ -41,13 +41,11 @@ type Config struct {
 	ASPCutoff uint64
 	// QueueLen is the per-sender receive queue depth for vectors.
 	QueueLen int
-	// AsyncSend enables sender-side queues of the given depth when > 0.
-	AsyncSend int
 	// Pipeline, when non-nil, enables the per-destination send coalescer on
 	// every rank: scatters return after enqueue, small updates for the same
 	// peer merge into one fabric write, and BSP/SSP barriers drain the
-	// pipeline so consistency is unchanged. Takes precedence over AsyncSend
-	// on the scatter path. Zero-valued fields use dstorm defaults.
+	// pipeline so consistency is unchanged. Zero-valued fields use dstorm
+	// defaults.
 	Pipeline *dstorm.PipelineConfig
 	// GatherWorkers enables the parallel gather engine on every rank:
 	// per-sender ring drains and update decodes fan out across a worker
@@ -80,7 +78,7 @@ type Config struct {
 	// Ignored when Transport is set.
 	Fabric fabric.Config
 	// Transport, when non-nil, replaces the simulated fabric with an
-	// externally built backend (e.g. fabric/tcpnet for real TCP sockets).
+	// externally built backend (e.g. fabric/stream over real sockets).
 	// Its Ranks() must match Config.Ranks. With a transport whose ranks
 	// live in other OS processes, use RunLocal instead of Run: this process
 	// drives only its own rank. Chaos injection requires the simulated
@@ -104,7 +102,7 @@ func (c Config) withDefaults() (Config, error) {
 
 // Cluster is a MALT cluster: Ranks replicas sharing one transport. With
 // the default simulated fabric all replicas run in this process; with an
-// external Transport (fabric/tcpnet) this process may host just one rank
+// external Transport (fabric/stream) this process may host just one rank
 // of a multi-process cluster.
 type Cluster struct {
 	cfg    Config
@@ -191,9 +189,9 @@ func (c *Cluster) Fabric() *fabric.Fabric { return c.sim }
 // Config.Transport.
 func (c *Cluster) Transport() fabric.Transport { return c.fab }
 
-// Close releases transport resources (sockets, goroutines). It does not
-// close an external Transport supplied via Config.Transport — that is
-// owned by the caller who built it.
+// Close closes the simulated fabric. It does not close an external
+// Transport supplied via Config.Transport — that is owned by the caller
+// who built it.
 func (c *Cluster) Close() error {
 	if c.sim != nil {
 		return c.sim.Close()
@@ -288,10 +286,6 @@ func (c *Cluster) RunLocal(rank int, fn func(ctx *Context) error) (*Result, erro
 // and the trace-counter harvest.
 func (c *Cluster) runRank(r int, fn func(ctx *Context) error) RankResult {
 	ctx := c.contexts[r]
-	if c.cfg.AsyncSend > 0 {
-		ctx.node.EnableAsyncSend(c.cfg.AsyncSend)
-		defer ctx.node.DisableAsyncSend()
-	}
 	if c.cfg.Pipeline != nil {
 		ctx.node.EnablePipeline(*c.cfg.Pipeline)
 	}
@@ -672,13 +666,13 @@ func (ctx *Context) WatchFaults(interval time.Duration) (stop func()) {
 }
 
 // ReportFailures feeds explicitly observed write failures (e.g. from
-// asynchronous sends) into the fault monitor.
+// pipelined sends) into the fault monitor.
 func (ctx *Context) ReportFailures(peers []int) { ctx.reportFailures(peers) }
 
 func (ctx *Context) reportFailures(peers []int) {
 	if len(peers) == 0 {
-		// Async sends surface failures out of band; poll them here so the
-		// monitor still learns about dead peers promptly.
+		// Pipelined sends surface failures out of band; poll them here so
+		// the monitor still learns about dead peers promptly.
 		peers = ctx.node.AsyncFailures()
 		if len(peers) == 0 {
 			return

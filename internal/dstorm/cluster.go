@@ -40,7 +40,7 @@ type barrierState struct {
 // per rank. With the default simulated fabric every rank lives in this
 // process and barriers are the in-process generation-counted kind; a
 // transport that also implements fabric.Coordinator (a multi-process
-// backend like fabric/tcpnet) supplies its own cluster-wide barrier and
+// backend like fabric/stream) supplies its own cluster-wide barrier and
 // dstorm delegates to it.
 func NewCluster(f fabric.Transport) *Cluster {
 	c := &Cluster{
@@ -172,27 +172,10 @@ func (c *Cluster) creationBarrier(segName string, rank int) error {
 	return c.barrier("create/"+segName, rank)
 }
 
-// SendMode selects synchronous or queued (asynchronous) scatters.
-type SendMode int
-
-const (
-	// SendSync performs fabric writes on the caller's goroutine.
-	SendSync SendMode = iota
-	// SendAsync enqueues writes to a per-node sender queue drained by a
-	// dedicated goroutine (the simulated NIC DMA engine). A full queue
-	// blocks the caller — the back-pressure behaviour of §3.1.
-	SendAsync
-)
-
 // Node is one rank's dstorm endpoint.
 type Node struct {
 	cluster *Cluster
 	rank    int
-
-	sendMu   sync.Mutex
-	mode     SendMode
-	sendq    chan sendReq
-	sendDone chan struct{}
 
 	retryMu sync.Mutex
 	retry   RetryPolicy // write-retry policy for transient fabric faults
@@ -207,65 +190,13 @@ type Node struct {
 	asyncFailed map[int]int // peer → count of failed async writes
 }
 
-type sendReq struct {
-	to  int
-	key string
-	sb  *sendBuf // pooled payload copy, released after delivery
-}
-
 // Rank returns this endpoint's rank.
 func (n *Node) Rank() int { return n.rank }
 
 // Cluster returns the owning cluster.
 func (n *Node) Cluster() *Cluster { return n.cluster }
 
-// EnableAsyncSend switches the node to queued sends with the given queue
-// depth. The sender-side queue lets training proceed while updates drain,
-// and exerts back-pressure when the network falls behind. Must be disabled
-// with DisableAsyncSend before the node is discarded.
-func (n *Node) EnableAsyncSend(depth int) {
-	if depth <= 0 {
-		depth = 64
-	}
-	n.sendMu.Lock()
-	defer n.sendMu.Unlock()
-	if n.mode == SendAsync {
-		return
-	}
-	n.mode = SendAsync
-	n.sendq = make(chan sendReq, depth)
-	n.sendDone = make(chan struct{})
-	go n.drainSends(n.sendq, n.sendDone)
-}
-
-// DisableAsyncSend flushes the queue and returns to synchronous sends.
-func (n *Node) DisableAsyncSend() {
-	n.sendMu.Lock()
-	if n.mode != SendAsync {
-		n.sendMu.Unlock()
-		return
-	}
-	q, done := n.sendq, n.sendDone
-	n.mode = SendSync
-	n.sendq = nil
-	n.sendDone = nil
-	n.sendMu.Unlock()
-	close(q)
-	<-done
-}
-
-func (n *Node) drainSends(q chan sendReq, done chan struct{}) {
-	defer close(done)
-	for req := range q {
-		//maltlint:allow bufretain -- each queued request owns its payload (write copies before enqueueing), so successive iterations post distinct buffers
-		if err := n.writeWithRetry(req.to, req.key, req.sb.b); err != nil {
-			n.noteAsyncFailure(req.to)
-		}
-		req.sb.release()
-	}
-}
-
-// noteAsyncFailure records a failed off-thread write to a peer for the
+// noteAsyncFailure records a failed pipelined write to a peer for the
 // fault monitor's next AsyncFailures poll.
 func (n *Node) noteAsyncFailure(to int) {
 	n.failMu.Lock()
@@ -294,26 +225,12 @@ func (n *Node) AsyncFailures() []int {
 	return out
 }
 
-// write sends via the current mode, absorbing transient fabric faults with
-// the node's retry policy. Async mode copies the payload (the caller reuses
-// its encode buffer) and reports failures via AsyncFailures.
-func (n *Node) write(to int, key string, payload []byte) error {
-	n.sendMu.Lock()
-	mode, q := n.mode, n.sendq
-	n.sendMu.Unlock()
-	if mode == SendSync {
-		return n.writeWithRetry(to, key, payload)
-	}
-	q <- sendReq{to: to, key: key, sb: newSendBuf(payload, 1)}
-	return nil
-}
-
 // writeMulti delivers one encoded payload to several peers. With the
 // coalescing pipeline enabled it copies the payload once, shares the copy
 // across all destinations' batches, and returns immediately; delivery
-// failures then surface via AsyncFailures. Otherwise it falls back to the
-// per-peer write path (sync or async-queue) and returns the peers whose
-// writes failed.
+// failures then surface via AsyncFailures. Otherwise it writes to each peer
+// on the caller's goroutine, absorbing transient faults with the node's
+// retry policy, and returns the peers whose writes failed.
 func (n *Node) writeMulti(peers []int, key string, payload []byte) (failed []int) {
 	n.pipeMu.Lock()
 	p := n.pipe
@@ -327,8 +244,8 @@ func (n *Node) writeMulti(peers []int, key string, payload []byte) (failed []int
 		sb.releaseN(int32(len(peers)))
 	}
 	for _, to := range peers {
-		//maltlint:allow bufretain -- fan-out re-posts the same read-only payload; write copies it in async mode and completes before returning in sync mode
-		if err := n.write(to, key, payload); err != nil {
+		//maltlint:allow bufretain -- fan-out re-posts the same read-only payload; Transport.Write has finished reading it when it returns
+		if err := n.writeWithRetry(to, key, payload); err != nil {
 			failed = append(failed, to)
 		}
 	}

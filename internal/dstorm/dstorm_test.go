@@ -467,48 +467,6 @@ func TestAtomicGatherNeverTorn(t *testing.T) {
 	}
 }
 
-func TestAsyncSendDeliversAndFlushes(t *testing.T) {
-	c, segs := newTestCluster(t, 2, SegmentOptions{ObjectSize: 8})
-	n := c.Node(0)
-	n.EnableAsyncSend(16)
-	for i := 1; i <= 10; i++ {
-		if _, err := segs[0].Scatter([]byte(fmt.Sprintf("a%d", i)), uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n.DisableAsyncSend() // flushes the queue
-	ups, err := segs[1].Gather(GatherAllNew)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ups) != 4 { // default queue len 4; 10 sends overwrite down to 4
-		t.Fatalf("gathered %d updates, want 4", len(ups))
-	}
-	if string(ups[len(ups)-1].Data) != "a10" {
-		t.Fatalf("last update = %q", ups[len(ups)-1].Data)
-	}
-}
-
-func TestAsyncSendFailuresReported(t *testing.T) {
-	c, segs := newTestCluster(t, 2, SegmentOptions{ObjectSize: 8})
-	if err := c.Fabric().Kill(1); err != nil {
-		t.Fatal(err)
-	}
-	n := c.Node(0)
-	n.EnableAsyncSend(4)
-	if _, err := segs[0].Scatter([]byte("x"), 1); err != nil {
-		t.Fatal(err)
-	}
-	n.DisableAsyncSend()
-	failed := n.AsyncFailures()
-	if len(failed) != 1 || failed[0] != 1 {
-		t.Fatalf("AsyncFailures = %v, want [1]", failed)
-	}
-	if again := n.AsyncFailures(); again != nil {
-		t.Fatalf("AsyncFailures should clear, got %v", again)
-	}
-}
-
 func TestCreateSegmentValidation(t *testing.T) {
 	f, err := fabric.New(fabric.Config{Ranks: 2})
 	if err != nil {

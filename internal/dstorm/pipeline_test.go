@@ -158,6 +158,45 @@ func TestPipelineExplicitFlushAndDrain(t *testing.T) {
 	}
 }
 
+// TestPipelineBackPressure drives a one-batch worker queue with a flush per
+// scatter, so the producer blocks on the full queue (§3.1's back-pressure)
+// instead of dropping sends. After Drain the receiver's ring holds the
+// newest QueueLen updates, the newest one intact.
+func TestPipelineBackPressure(t *testing.T) {
+	const sends, qlen = 50, 2
+	pcfg := PipelineConfig{Workers: 1, MaxBatchCount: 1, MaxBatchBytes: 1 << 30, MaxDelay: time.Hour, QueueDepth: 1}
+	c, segs := newPipelineCluster(t, fabric.Config{Ranks: 2},
+		SegmentOptions{ObjectSize: 1 << 16, QueueLen: qlen}, pcfg)
+	payload := make([]byte, 1<<16)
+	for i := 1; i <= sends; i++ {
+		//maltlint:allow bufretain -- Scatter copies the payload into a pooled sendBuf before enqueueing; mutate-then-repost is the overwrite pressure under test
+		payload[0] = byte(i)
+		//maltlint:allow bufretain -- Scatter copies the payload into a pooled sendBuf before enqueueing; mutate-then-repost is the overwrite pressure under test
+		if _, err := segs[0].Scatter(payload, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Node(0).Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if ps := c.Node(0).PipelineStats(); ps.Enqueued != sends || ps.Batches != sends {
+		t.Fatalf("want %d one-record batches, got %+v", sends, ps)
+	}
+	ups, err := segs[1].Gather(GatherAllNew)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ups) != qlen {
+		t.Fatalf("gathered %d updates, want the newest %d", len(ups), qlen)
+	}
+	for k, u := range ups {
+		want := sends - qlen + 1 + k
+		if u.Seq != uint64(want) || u.Data[0] != byte(want) {
+			t.Fatalf("update %d: seq %d payload %d, want %d", k, u.Seq, u.Data[0], want)
+		}
+	}
+}
+
 // TestPipelineBarrierDrains checks the consistency contract: once a
 // segment Barrier releases, every rank's pre-barrier scatters are visible
 // at their receivers even though Scatter returned at enqueue.
@@ -343,7 +382,7 @@ func TestPipelineUnderBlackout(t *testing.T) {
 
 // TestPipelineSuspicionPreserved: batching must not hide real failures.
 // Writes to a dead rank fail permanently inside the worker pool and must
-// surface through AsyncFailures — the PR-1 suspicion feed.
+// surface through AsyncFailures — the suspicion feed — exactly once.
 func TestPipelineSuspicionPreserved(t *testing.T) {
 	const ranks = 3
 	c, segs := newPipelineCluster(t, fabric.Config{Ranks: ranks},
@@ -360,6 +399,9 @@ func TestPipelineSuspicionPreserved(t *testing.T) {
 	fails := c.Node(0).AsyncFailures()
 	if len(fails) != 1 || fails[0] != 1 {
 		t.Fatalf("want async failure against rank 1, got %v", fails)
+	}
+	if again := c.Node(0).AsyncFailures(); again != nil {
+		t.Fatalf("AsyncFailures should clear once read, got %v", again)
 	}
 	if ps := c.Node(0).PipelineStats(); ps.Failed == 0 {
 		t.Fatalf("pipeline Failed counter not incremented: %+v", ps)

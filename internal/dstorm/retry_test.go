@@ -166,36 +166,6 @@ func TestRetryDeadlineBoundsOneWrite(t *testing.T) {
 	}
 }
 
-func TestAsyncSendRetriesTransients(t *testing.T) {
-	c, segs := newChaosCluster(t, 2,
-		fabric.ChaosConfig{Seed: 6, Default: fabric.LinkFault{DropProb: 0.5}},
-		SegmentOptions{ObjectSize: 8, QueueLen: 64})
-	n := c.Node(0)
-	n.SetRetryPolicy(RetryPolicy{MaxAttempts: 12, Backoff: time.Microsecond})
-	n.EnableAsyncSend(16)
-	for i := 1; i <= 30; i++ {
-		if _, err := segs[0].Scatter([]byte("payload!"), uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n.DisableAsyncSend() // flushes the queue
-	st := n.RetryStats()
-	if st.Retries == 0 {
-		t.Fatalf("async path did not retry: %+v", st)
-	}
-	ups, err := segs[1].Gather(GatherAllNew)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := 30 - int(st.Exhausted); len(ups) != want {
-		t.Fatalf("receiver got %d updates, want %d (30 - %d exhausted)",
-			len(ups), want, st.Exhausted)
-	}
-	if fails := n.AsyncFailures(); int(st.Exhausted) != len(fails) && st.Exhausted > 0 && len(fails) == 0 {
-		t.Fatalf("exhausted async writes not surfaced: stats %+v, failures %v", st, fails)
-	}
-}
-
 func TestDefaultRetryPolicy(t *testing.T) {
 	f, err := fabric.New(fabric.Config{Ranks: 1})
 	if err != nil {

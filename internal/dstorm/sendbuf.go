@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// The async-send queue and the coalescing pipeline both hand the caller's
-// encode buffer back immediately and ship a private copy. Those copies
-// used to be fresh allocations per update — at scatter rates that is the
-// dominant allocation source on the send side. sendBuf makes the copy
+// The coalescing pipeline hands the caller's encode buffer back
+// immediately and ships a private copy. Those copies used to be fresh
+// allocations per update — at scatter rates that is the dominant
+// allocation source on the send side. sendBuf makes the copy
 // pooled and refcounted: writeMulti takes one copy shared by every
 // destination (the fabric only reads it), and the buffer returns to the
 // pool when the last destination's delivery retires it.

@@ -8,8 +8,8 @@ import (
 )
 
 // TestSendScratchSteadyState locks in the send-side buffer pooling: after
-// a warm-up phase, both the coalescing pipeline and the async-send queue
-// must serve their payload copies from the pool. A regression (a code path
+// a warm-up phase, the coalescing pipeline must serve its payload copies
+// from the pool. A regression (a code path
 // allocating fresh copies again) shows up as pool misses growing with the
 // workload instead of staying flat.
 func TestSendScratchSteadyState(t *testing.T) {
@@ -57,38 +57,6 @@ func TestSendScratchSteadyState(t *testing.T) {
 	// fail if copies are being allocated per operation again.
 	if misses > gets/10 && !raceEnabled {
 		t.Fatalf("steady-state pool misses = %d of %d gets; send copies are not being recycled", misses, gets)
-	}
-
-	// The async-send queue shares the pool.
-	n := c.Node(1)
-	n.EnableAsyncSend(1024)
-	defer n.DisableAsyncSend()
-	for i := 0; i < warm; i++ {
-		//maltlint:allow bufretain -- Scatter copies the payload into a pooled sendBuf before enqueueing (the property this test pins)
-		if _, err := segs[1].Scatter(payload, uint64(i+1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	missesBefore = sendBufMisses.Load()
-	for i := 0; i < measured; i++ {
-		//maltlint:allow bufretain -- Scatter copies the payload into a pooled sendBuf before enqueueing (the property this test pins)
-		if _, err := segs[1].Scatter(payload, uint64(warm+i+1)); err != nil {
-			t.Fatal(err)
-		}
-		if i%64 == 63 {
-			if err := n.Drain(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := n.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if misses := sendBufMisses.Load() - missesBefore; misses > measured/10 && !raceEnabled {
-		t.Fatalf("async-send steady state allocated %d fresh copies for %d scatters", misses, measured)
 	}
 }
 

@@ -88,8 +88,6 @@ type Config struct {
 	Bandwidth float64
 	// Delay selects whether modeled time is imposed or only accounted.
 	Delay DelayMode
-	// Delivery selects in-process delivery (default) or loopback TCP.
-	Delivery Delivery
 	// Chaos, when non-nil, installs the transient-fault model at creation
 	// (EnableChaos can also install or replace it later).
 	Chaos *ChaosConfig
@@ -125,8 +123,6 @@ type Fabric struct {
 	liveness []func(rank int, alive bool)
 	joined   []func(rank int, epoch uint64)
 	chaos    *chaosState // non-nil while transient-fault injection is on
-
-	tcp *tcpFabric // non-nil in TCP transport mode
 }
 
 // New creates a fabric connecting cfg.Ranks endpoints, all alive and in one
@@ -153,24 +149,12 @@ func New(cfg Config) (*Fabric, error) {
 	if cfg.Chaos != nil {
 		f.chaos = newChaosState(cfg.Ranks, *cfg.Chaos)
 	}
-	if cfg.Delivery == TCP {
-		tcp, err := newTCPFabric(f)
-		if err != nil {
-			return nil, err
-		}
-		f.tcp = tcp
-	}
 	return f, nil
 }
 
-// Close releases transport resources (TCP listeners and connections). The
-// in-process transport holds none; Close is then a no-op.
-func (f *Fabric) Close() error {
-	if f.tcp != nil {
-		f.tcp.close()
-	}
-	return nil
-}
+// Close implements Transport. The simulated fabric holds no sockets or
+// goroutines, so there is nothing to release.
+func (f *Fabric) Close() error { return nil }
 
 // Ranks returns the number of endpoints, including dead ones.
 func (f *Fabric) Ranks() int { return f.cfg.Ranks }
@@ -248,9 +232,6 @@ func (f *Fabric) Write(from, to int, key string, payload []byte) error {
 	cost := f.jitterCost(from, to, f.modelCost(len(payload)), jitter)
 	f.stats.AddTransfer(from, to, len(payload), cost)
 	f.impose(cost)
-	if f.tcp != nil {
-		return f.tcp.write(from, to, key, payload)
-	}
 	return h(from, payload)
 }
 
@@ -261,8 +242,7 @@ func (f *Fabric) Write(from, to int, key string, payload []byte) error {
 // cost, counts as one message, and takes one chaos draw (a dropped batch
 // drops all its records, as a dropped NIC op would). The handler is invoked
 // once per record, in order, on the caller's goroutine; the first handler
-// error is returned after all records have been attempted. The TCP
-// transport sends the records back-to-back on one acked stream.
+// error is returned after all records have been attempted.
 func (f *Fabric) WriteBatch(from, to int, key string, records [][]byte) error {
 	if len(records) == 0 {
 		return nil
@@ -308,13 +288,7 @@ func (f *Fabric) WriteBatch(from, to int, key string, records [][]byte) error {
 	f.impose(cost)
 	var firstErr error
 	for _, rec := range records {
-		var err error
-		if f.tcp != nil {
-			err = f.tcp.write(from, to, key, rec)
-		} else {
-			err = h(from, rec)
-		}
-		if err != nil && firstErr == nil {
+		if err := h(from, rec); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -596,7 +570,7 @@ type Stats struct {
 }
 
 // NewStats creates a zeroed per-link counter matrix for n ranks. Transport
-// implementations outside this package (fabric/tcpnet) use it to offer the
+// implementations outside this package (fabric/stream) use it to offer the
 // same Stats surface the simulated fabric has.
 func NewStats(n int) *Stats {
 	return &Stats{

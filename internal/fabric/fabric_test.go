@@ -333,9 +333,13 @@ func TestRegisterValidation(t *testing.T) {
 	}
 }
 
-func TestTransportNames(t *testing.T) {
-	if InProc.String() != "inproc" || TCP.String() != "tcp" {
-		t.Fatal("transport names wrong")
+func TestInProcCloseNoop(t *testing.T) {
+	f, err := New(Config{Ranks: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

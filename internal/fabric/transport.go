@@ -2,9 +2,9 @@ package fabric
 
 // Transport is the contract dstorm (and everything above it) consumes from
 // the interconnect. The simulated Fabric is the default implementation;
-// fabric/tcpnet implements the same contract over real TCP sockets so the
-// one-sided scatter path, RetryPolicy and K-strikes suspicion run unchanged
-// across OS processes.
+// fabric/stream implements the same contract over real TCP or Unix sockets
+// so the one-sided scatter path, RetryPolicy and K-strikes suspicion run
+// unchanged across OS processes.
 //
 // Error taxonomy every implementation must honor:
 //

@@ -310,7 +310,6 @@ var retainIntrinsics = map[string][]int{
 	"malt/internal/dstorm.Segment.Scatter":      {0},
 	"malt/internal/dstorm.Segment.ScatterTo":    {1},
 	"malt/internal/dstorm.AddSegment.Scatter":   {0},
-	"malt/internal/dstorm.Node.write":           {2},
 	"malt/internal/dstorm.Node.writeWithRetry":  {2},
 	"malt/internal/dstorm.Node.writeMulti":      {2},
 }
