@@ -8,8 +8,12 @@ build:
 test:
 	go test -shuffle=on ./...
 
+# The second run repeats the event-driven wait tests (barrier release, SSP
+# stall, kill, join) under the race detector: a lost wake-up shows up as a
+# wait that only its deadline ends.
 race:
 	go test -race ./...
+	go test -race -count=20 -run 'Barrier|Stall|Kill|Join' ./internal/fabric/stream/ ./internal/consistency/
 
 # lint mirrors the CI gate: gofmt must be clean, go vet must pass, and
 # maltlint (the project's own facts-based analyzers, including _test.go

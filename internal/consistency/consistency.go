@@ -70,9 +70,6 @@ type Policy struct {
 	// minus the cutoff ("skips merging of updates from the stragglers").
 	// 0 disables filtering.
 	ASPCutoff uint64
-	// StallPoll is how often an SSP stall re-checks the straggler.
-	// Default 200 µs.
-	StallPoll time.Duration
 	// StallLimit caps one SSP stall; on expiry training proceeds anyway
 	// (the straggler is probably dead and the fault layer will confirm).
 	// Default 2 s.
@@ -85,9 +82,6 @@ type Policy struct {
 func (p Policy) withDefaults() Policy {
 	if p.Model == SSP && p.Bound == 0 {
 		p.Bound = 3
-	}
-	if p.StallPoll == 0 {
-		p.StallPoll = 200 * time.Microsecond
 	}
 	if p.StallLimit == 0 {
 		p.StallLimit = 2 * time.Second
@@ -150,35 +144,43 @@ func (c *Controller) Advance(v *vol.Vector, myIter uint64) (time.Duration, error
 }
 
 // stall blocks while any live peer lags more than Bound behind myIter.
-// A peer that has never been heard from (iter 0) is exempt until it speaks:
-// during warm-up there is nothing to be stale relative to.
+// Each deposit or peer removal wakes the wait to re-check; StallLimit is
+// the backstop.
 func (c *Controller) stall(v *vol.Vector, myIter uint64) time.Duration {
 	if myIter <= c.policy.Bound {
 		return 0
 	}
 	threshold := myIter - c.policy.Bound
 	start := time.Now()
-	deadline := start.Add(c.policy.StallLimit)
-	for {
-		lagging := false
-		for rank, iter := range v.PeerIters() {
-			if iter == 0 {
-				continue
-			}
-			if c.policy.Alive != nil && !c.policy.Alive(rank) {
-				continue
-			}
-			if iter < threshold {
-				lagging = true
-				break
-			}
-		}
-		if !lagging {
-			return time.Since(start)
-		}
-		if time.Now().After(deadline) {
-			return time.Since(start)
-		}
-		time.Sleep(c.policy.StallPoll)
+	if !c.lagging(v, threshold) {
+		return time.Since(start)
 	}
+	limit := time.NewTimer(c.policy.StallLimit)
+	defer limit.Stop()
+	for c.lagging(v, threshold) {
+		select {
+		case <-v.Arrivals():
+		case <-limit.C:
+			return time.Since(start)
+		}
+	}
+	return time.Since(start)
+}
+
+// lagging reports whether any live peer's latest iteration is below
+// threshold. A peer that has never been heard from (iter 0) is exempt until
+// it speaks: during warm-up there is nothing to be stale relative to.
+func (c *Controller) lagging(v *vol.Vector, threshold uint64) bool {
+	for rank, iter := range v.PeerIters() {
+		if iter == 0 {
+			continue
+		}
+		if c.policy.Alive != nil && !c.policy.Alive(rank) {
+			continue
+		}
+		if iter < threshold {
+			return true
+		}
+	}
+	return false
 }

@@ -128,7 +128,7 @@ func TestASPGatherNoCutoffFoldsAll(t *testing.T) {
 
 func TestSSPStallsForStraggler(t *testing.T) {
 	vecs, _ := newVectors(t, 2, 1)
-	ctrl := New(Policy{Model: SSP, Bound: 3, StallPoll: time.Millisecond, StallLimit: 5 * time.Second})
+	ctrl := New(Policy{Model: SSP, Bound: 3, StallLimit: 5 * time.Second})
 	// Peer 1 is at iteration 2; rank 0 wants to advance to 10 (gap 8 > 3).
 	if _, err := vecs[1].Scatter(2); err != nil {
 		t.Fatal(err)
@@ -155,6 +155,55 @@ func TestSSPStallsForStraggler(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("SSP did not release after straggler caught up")
 	}
+}
+
+// stallThenRelease starts an SSP Advance on rank 0 that must stall on the
+// straggler rank 1, runs release once the stall is under way, and requires
+// the stall to end within 2 s. StallLimit is 10 s, so only the release's
+// wake-up can end it that soon.
+func stallThenRelease(t *testing.T, release func(vecs []*vol.Vector) error) {
+	t.Helper()
+	vecs, _ := newVectors(t, 2, 1)
+	ctrl := New(Policy{Model: SSP, Bound: 3, StallLimit: 10 * time.Second})
+	if _, err := vecs[1].Scatter(2); err != nil {
+		t.Fatal(err)
+	}
+	released := make(chan struct{})
+	go func() {
+		defer close(released)
+		if _, err := ctrl.Advance(vecs[0], 10); err != nil {
+			t.Errorf("advance: %v", err)
+		}
+	}()
+	select {
+	case <-released:
+		t.Fatal("SSP advanced despite straggler beyond bound")
+	case <-time.After(50 * time.Millisecond):
+	}
+	start := time.Now()
+	if err := release(vecs); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-released:
+	case <-time.After(2 * time.Second):
+		t.Fatal("stall did not wake within 2 s of its release")
+	}
+	t.Logf("stall ended %v after the release", time.Since(start))
+}
+
+func TestSSPStallWakesOnCatchUp(t *testing.T) {
+	stallThenRelease(t, func(vecs []*vol.Vector) error {
+		_, err := vecs[1].Scatter(8) // gap 2 <= 3
+		return err
+	})
+}
+
+func TestSSPStallWakesOnRemovePeer(t *testing.T) {
+	stallThenRelease(t, func(vecs []*vol.Vector) error {
+		vecs[0].RemovePeer(1) // the straggler is declared dead
+		return nil
+	})
 }
 
 func TestSSPNoStallWithinBound(t *testing.T) {
@@ -198,7 +247,7 @@ func TestSSPIgnoresSilentAndDeadPeers(t *testing.T) {
 
 func TestSSPStallLimitEscapes(t *testing.T) {
 	vecs, _ := newVectors(t, 2, 1)
-	ctrl := New(Policy{Model: SSP, Bound: 1, StallPoll: time.Millisecond, StallLimit: 30 * time.Millisecond})
+	ctrl := New(Policy{Model: SSP, Bound: 1, StallLimit: 30 * time.Millisecond})
 	if _, err := vecs[1].Scatter(1); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +267,7 @@ func TestSSPStallLimitEscapes(t *testing.T) {
 func TestPolicyDefaults(t *testing.T) {
 	c := New(Policy{Model: SSP})
 	p := c.Policy()
-	if p.Bound == 0 || p.StallPoll == 0 || p.StallLimit == 0 {
+	if p.Bound == 0 || p.StallLimit == 0 {
 		t.Fatalf("defaults not applied: %+v", p)
 	}
 }

@@ -140,6 +140,11 @@ type Segment struct {
 	consumedTotal uint64         // updates returned by gathers (for Stats)
 	closed        bool
 
+	// arrived holds at most one pending signal, sent after every deposit
+	// and every RemovePeer: a staleness wait sleeps on it instead of
+	// polling PeerIters.
+	arrived chan struct{}
+
 	encBuf      []byte // scatter encode buffer
 	sendScratch []int  // per-scatter snapshot of send, reused across calls
 
@@ -239,13 +244,14 @@ func (n *Node) CreateSegment(name string, opts SegmentOptions) (*Segment, error)
 	}
 
 	s := &Segment{
-		node:   n,
-		name:   name,
-		key:    segKey(name),
-		opts:   opts,
-		graph:  opts.Graph,
-		queues: make(map[int]*queue),
-		encBuf: make([]byte, headerSize+opts.ObjectSize),
+		node:    n,
+		name:    name,
+		key:     segKey(name),
+		opts:    opts,
+		graph:   opts.Graph,
+		queues:  make(map[int]*queue),
+		encBuf:  make([]byte, headerSize+opts.ObjectSize),
+		arrived: make(chan struct{}, 1),
 	}
 	s.send = append([]int(nil), opts.Graph.SendPeers(n.rank)...)
 	for _, sender := range opts.Graph.RecvPeers(n.rank) {
@@ -319,8 +325,25 @@ func (s *Segment) handleWrite(from int, payload []byte) error {
 	seq := binary.LittleEndian.Uint64(payload[0:8])
 	sl := &q.slots[seq%uint64(len(q.slots))]
 	sl.write(payload, chunk)
+	s.signalArrival()
 	return nil
 }
+
+// signalArrival leaves one pending wake-up on the arrivals channel; a
+// signal already pending covers this one too.
+func (s *Segment) signalArrival() {
+	select {
+	case s.arrived <- struct{}{}:
+	default:
+	}
+}
+
+// Arrivals returns a channel that receives a signal after a deposit lands
+// in any receive queue or a peer is removed. It has one waiter, the rank's
+// training goroutine (an SSP stall): re-check PeerIters after each receive.
+// Signals coalesce, so a receive may cover several arrivals or stand for
+// one the last check already saw.
+func (s *Segment) Arrivals() <-chan struct{} { return s.arrived }
 
 // write deposits payload into the slot. If chunk > 0 the copy is performed
 // chunk bytes at a time, releasing the slot lock in between, modeling the
@@ -654,7 +677,8 @@ func (s *Segment) PeerIters() map[int]uint64 {
 
 // RemovePeer drops a failed rank from the segment's send and receive lists.
 // Called by the fault-tolerance layer after the cluster health check agrees
-// the rank is dead. Queued updates from the dead rank are discarded.
+// the rank is dead. Queued updates from the dead rank are discarded, and a
+// staleness wait on Arrivals re-checks without the dead straggler.
 func (s *Segment) RemovePeer(rank int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -667,6 +691,7 @@ func (s *Segment) RemovePeer(rank int) {
 	s.send = out
 	s.allowed = nil // invalidate the ScatterTo membership cache
 	delete(s.queues, rank)
+	s.signalArrival()
 }
 
 // RestorePeer re-admits a rejoined rank: it returns to the send list (in

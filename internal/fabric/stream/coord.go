@@ -90,29 +90,39 @@ func (n *Net) sendReleases(name string, targets []int) {
 	}
 }
 
-// barrierReleased bumps the local release counter for a barrier name,
-// waking any waiter.
+// barrierReleased bumps the local release counter for a barrier name and
+// wakes every waiter.
 func (n *Net) barrierReleased(name string) {
 	n.bmu.Lock()
-	if n.releases == nil {
-		n.releases = make(map[string]uint64)
-	}
 	n.releases[name]++
+	n.bmu.Unlock()
+	n.kickBarriers()
+}
+
+// kickBarriers wakes every barrier waiter so it re-checks its exits: a
+// release, a liveness change or the deadline.
+func (n *Net) kickBarriers() {
+	n.bmu.Lock()
+	close(n.bwake)
+	n.bwake = make(chan struct{})
 	n.bmu.Unlock()
 }
 
-func (n *Net) released(name string) uint64 {
+// released returns a barrier name's release count and the channel the next
+// kick closes, read under one lock so no wake-up falls between a waiter's
+// check and its wait.
+func (n *Net) released(name string) (uint64, <-chan struct{}) {
 	n.bmu.Lock()
 	defer n.bmu.Unlock()
-	return n.releases[name]
+	return n.releases[name], n.bwake
 }
 
 // Barrier implements fabric.Coordinator: it blocks until every rank this
 // transport believes alive has entered the barrier with the same name.
 // dstorm delegates its named barriers (segment creation, BSP supersteps)
-// here when the cluster spans processes. The wait polls the local release
-// counter — the control-plane analogue of one-sided completion: rank 0
-// deposits the release, the waiter discovers it by reading its own state.
+// here when the cluster spans processes. Rank 0 pushes the release, and its
+// arrival wakes the waiter directly, as does a liveness change, Close or
+// the deadline: nothing polls.
 func (n *Net) Barrier(name string, rank int) error {
 	if rank != n.cfg.Rank {
 		return fmt.Errorf("stream: barrier for rank %d entered on rank %d", rank, n.cfg.Rank)
@@ -127,27 +137,35 @@ func (n *Net) Barrier(name string, rank int) error {
 	if err := n.Drain(); err != nil {
 		return fmt.Errorf("stream: barrier %q: deferred write error: %w", name, err)
 	}
-	seq := n.released(name)
+	seq, _ := n.released(name)
 	deadline := time.Now().Add(n.cfg.BarrierTimeout)
 	if n.cfg.Rank == 0 {
 		n.coord.enter(name, 0)
 	} else if err := n.enterRemote(name, deadline); err != nil {
 		return err
 	}
+	t := timerGet(time.Until(deadline))
+	defer timerPut(t)
+	expired := false
 	for {
-		if n.released(name) > seq {
+		count, wake := n.released(name)
+		switch {
+		case count > seq:
 			return nil
-		}
-		if !n.Alive(n.cfg.Rank) {
+		case !n.Alive(n.cfg.Rank):
 			return fmt.Errorf("%w: barrier %q", fabric.ErrSenderDead, name)
-		}
-		if !n.Alive(0) {
+		case !n.Alive(0):
 			return fmt.Errorf("%w: barrier %q: coordinator (rank 0) is dead", fabric.ErrUnreachable, name)
-		}
-		if time.Now().After(deadline) {
+		case expired:
 			return fmt.Errorf("stream: barrier %q timed out after %v on rank %d", name, n.cfg.BarrierTimeout, n.cfg.Rank)
 		}
-		time.Sleep(200 * time.Microsecond) //maltlint:allow rawsleep -- transport-internal release poll, deadline-bounded above; below dstorm so RetryPolicy cannot apply
+		select {
+		case <-wake:
+		case <-t.C:
+			expired = true
+		case <-n.done:
+			return fmt.Errorf("stream: barrier %q: endpoint closed on rank %d", name, n.cfg.Rank)
+		}
 	}
 }
 

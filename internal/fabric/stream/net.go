@@ -191,6 +191,7 @@ type Net struct {
 
 	bmu      sync.Mutex
 	releases map[string]uint64 // per-barrier-name release counter
+	bwake    chan struct{}     // closed (and replaced) to wake barrier waiters
 
 	// cbMu serializes liveness watcher invocation across the goroutines
 	// that can observe a death (heartbeat, failed writes, receiver loops).
@@ -227,6 +228,8 @@ func New(cfg Config) (*Net, error) {
 		peers:    make([]*peerConn, len(cfg.Peers)),
 		hbMiss:   make([]int, len(cfg.Peers)),
 		conns:    make(map[net.Conn]struct{}),
+		releases: make(map[string]uint64),
+		bwake:    make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	for i := range n.peers {
@@ -234,6 +237,9 @@ func New(cfg Config) (*Net, error) {
 		n.peers[i].data.n = n
 		n.peers[i].data.to = i
 	}
+	// A death or admission can end a barrier wait (self dead, coordinator
+	// dead), so every liveness change wakes the waiters to re-check.
+	n.OnLivenessChange(func(int, bool) { n.kickBarriers() })
 	n.rdv.arrived = map[int]bool{cfg.Rank: true}
 	n.rdv.ready = make(chan struct{})
 	if n.cfg.Rank == 0 {

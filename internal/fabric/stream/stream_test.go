@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -508,5 +509,83 @@ func TestBarrierReleasesDuringJoinAndDeath(t *testing.T) {
 		if errs[r] != nil {
 			t.Fatalf("rank %d barrier: %v", r, errs[r])
 		}
+	}
+}
+
+// enterBarrier runs rank's side of barrier name on its own goroutine and
+// waits until the coordinator has recorded the entry, so whatever the test
+// does next lands while the barrier is pending.
+func enterBarrier(t *testing.T, nets []*Net, rank int, name string) <-chan error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- nets[rank].Barrier(name, rank) }()
+	waitFor(t, fmt.Sprintf("rank %d pending at the coordinator", rank), func() bool {
+		nets[0].coord.mu.Lock()
+		defer nets[0].coord.mu.Unlock()
+		st := nets[0].coord.barriers[name]
+		return st != nil && st.entered[rank]
+	})
+	return done
+}
+
+// barrierResult waits up to 2 s for a pending barrier to return. Every
+// caller configures a BarrierTimeout of at least 10 s, so a return inside
+// the window proves the event woke the wait, not the deadline.
+func barrierResult(t *testing.T, done <-chan error) error {
+	t.Helper()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(2 * time.Second):
+		t.Fatal("barrier wait did not wake within 2 s of its event")
+		return nil
+	}
+}
+
+func TestBarrierWakesOnCoordinatorKill(t *testing.T) {
+	// Rank 2 never enters, so rank 0's own death cannot complete the
+	// barrier and release rank 1.
+	nets := newTestCluster(t, 3)
+	done := enterBarrier(t, nets, 1, "b")
+	if err := nets[0].Kill(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := barrierResult(t, done); !errors.Is(err, fabric.ErrUnreachable) {
+		t.Fatalf("barrier after coordinator death: want ErrUnreachable, got %v", err)
+	}
+}
+
+func TestBarrierWakesOnSelfKill(t *testing.T) {
+	nets := newTestCluster(t, 3)
+	done := enterBarrier(t, nets, 1, "b")
+	if err := nets[1].Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := barrierResult(t, done); !errors.Is(err, fabric.ErrSenderDead) {
+		t.Fatalf("barrier after own death: want ErrSenderDead, got %v", err)
+	}
+}
+
+func TestBarrierWakesOnClose(t *testing.T) {
+	nets := newTestCluster(t, 2)
+	done := enterBarrier(t, nets, 1, "b")
+	if err := nets[1].Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := barrierResult(t, done); err == nil {
+		t.Fatal("barrier on a closed endpoint: want error, got nil")
+	}
+}
+
+func TestBarrierTimesOutAtDeadline(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	nets := newTestClusterCfg(t, 2, func(c *Config) { c.BarrierTimeout = timeout })
+	start := time.Now()
+	err := nets[1].Barrier("b", 1) // rank 0 never enters
+	if err == nil || !strings.Contains(err.Error(), "timed out") {
+		t.Fatalf("barrier with an absent rank: want a timeout error, got %v", err)
+	}
+	if waited := time.Since(start); waited < timeout {
+		t.Fatalf("barrier timed out after %v, before its %v deadline", waited, timeout)
 	}
 }

@@ -19,8 +19,8 @@
 //     concurrently with per-sender queue writes and other hooks; writes to
 //     captured variables inside them must be lock-protected.
 //   - rawsleep: time.Sleep inside retry/poll loops hides backoff policy
-//     from the retry/staleness subsystems; only the two blessed backoff
-//     sites (dstorm/retry.go, consistency.go's stall poll) may sleep raw.
+//     from the retry subsystem and turns waits into millisecond polls; only
+//     the blessed backoff site (dstorm/retry.go) may sleep raw.
 //   - gatherdrop: scatter/gather error results must be handled — a bare
 //     call, go/defer statement, or all-blank assignment silently severs the
 //     failure detector from the wire errors that feed it.

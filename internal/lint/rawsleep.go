@@ -7,27 +7,26 @@ import (
 )
 
 // RawSleep flags time.Sleep calls lexically inside for/range loops outside
-// the two blessed backoff sites. A sleep in a retry or poll loop is policy:
-// it decides how hard the node hammers a flaky link and how stale an SSP
-// rank lets itself get. That policy belongs in exactly two places — the
-// node's bounded-retry backoff (internal/dstorm/retry.go) and the SSP
-// stall poll (internal/consistency/consistency.go) — where it is
-// configurable, deadline-bounded, and counted in RetryStats/stall timers.
-// A raw sleep anywhere else is an invisible, unconfigurable, untestable
-// backoff. Sleeps that are not loop-driven (modeled network delay, injected
+// the one blessed backoff site. A sleep in a retry loop is policy: it
+// decides how hard the node hammers a flaky link. That policy belongs in
+// the node's bounded-retry backoff (internal/dstorm/retry.go), where it is
+// configurable, deadline-bounded, and counted in RetryStats. A sleep in a
+// poll loop is latency: a sub-millisecond sleep costs about a millisecond
+// on a loaded box, so a wait must wake on its event (a channel, a timer)
+// instead. A raw sleep anywhere else is an invisible, unconfigurable,
+// untestable backoff or poll. Sleeps that are not loop-driven (modeled network delay, injected
 // compute jitter) are not flagged; a sleep inside a closure is attributed
 // to the closure, not to a loop that happens to enclose the literal.
 var RawSleep = &Analyzer{
 	Name: "rawsleep",
-	Doc:  "time.Sleep in retry/poll loops is reserved for the blessed backoff sites",
+	Doc:  "time.Sleep in retry/poll loops is reserved for the blessed backoff site",
 	Run:  runRawSleep,
 }
 
-// blessedSleepFiles may sleep inside loops: they are the two audited
-// backoff implementations the rest of the module is supposed to reuse.
+// blessedSleepFiles may sleep inside loops: the audited backoff
+// implementation the rest of the module is supposed to reuse.
 var blessedSleepFiles = []string{
 	"internal/dstorm/retry.go",
-	"internal/consistency/consistency.go",
 }
 
 func runRawSleep(pass *Pass) error {
@@ -63,7 +62,7 @@ func runRawSleep(pass *Pass) error {
 			}
 			if loopDepth(stack) > 0 {
 				pass.Reportf(call.Pos(),
-					"time.Sleep in a loop outside the blessed backoff sites; route retries through dstorm.RetryPolicy or stalls through consistency.Policy.StallPoll")
+					"time.Sleep in a loop outside the blessed backoff site; route retries through dstorm.RetryPolicy and wake waits on an event (channel or timer), not a sleep-poll")
 			}
 			return true
 		})

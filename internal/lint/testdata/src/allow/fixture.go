@@ -19,7 +19,7 @@ func suppressed(ready func() bool) {
 func unknownName(ready func() bool) {
 	for !ready() {
 		//maltlint:allow rawsheep -- typo in the name // want `unknown analyzer "rawsheep"`
-		time.Sleep(time.Millisecond) // want `blessed backoff sites`
+		time.Sleep(time.Millisecond) // want `blessed backoff site; .* not a sleep-poll`
 	}
 }
 
@@ -27,7 +27,7 @@ func unknownName(ready func() bool) {
 func missingReason(ready func() bool) {
 	for !ready() {
 		//maltlint:allow rawsleep // want `missing the`
-		time.Sleep(time.Millisecond) // want `blessed backoff sites`
+		time.Sleep(time.Millisecond) // want `blessed backoff site; .* not a sleep-poll`
 	}
 }
 
@@ -35,6 +35,6 @@ func missingReason(ready func() bool) {
 func noNames(ready func() bool) {
 	for !ready() {
 		//maltlint:allow -- a reason with no analyzer // want `no analyzer names`
-		time.Sleep(time.Millisecond) // want `blessed backoff sites`
+		time.Sleep(time.Millisecond) // want `blessed backoff site; .* not a sleep-poll`
 	}
 }

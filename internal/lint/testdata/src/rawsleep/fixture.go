@@ -5,20 +5,20 @@ import "time"
 
 func pollLoop(ready func() bool) {
 	for !ready() {
-		time.Sleep(time.Millisecond) // want `blessed backoff sites`
+		time.Sleep(time.Millisecond) // want `blessed backoff site; .* not a sleep-poll`
 	}
 }
 
 func rangeLoop(xs []int) {
 	for range xs {
-		time.Sleep(time.Nanosecond) // want `blessed backoff sites`
+		time.Sleep(time.Nanosecond) // want `blessed backoff site; .* not a sleep-poll`
 	}
 }
 
 func nestedLoop() {
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
-			time.Sleep(time.Microsecond) // want `blessed backoff sites`
+			time.Sleep(time.Microsecond) // want `blessed backoff site; .* not a sleep-poll`
 		}
 	}
 }
@@ -26,7 +26,7 @@ func nestedLoop() {
 func loopInClosure() func() {
 	return func() {
 		for {
-			time.Sleep(time.Millisecond) // want `blessed backoff sites`
+			time.Sleep(time.Millisecond) // want `blessed backoff site; .* not a sleep-poll`
 		}
 	}
 }

@@ -802,8 +802,14 @@ func (v *Vector) noteUpdate(stats *GatherStats, u dstorm.Update) {
 }
 
 // PeerIters reports the latest iteration stamp seen from each inbound peer
-// without consuming updates (staleness policies poll this).
+// without consuming updates (staleness policies check it on each Arrivals
+// signal).
 func (v *Vector) PeerIters() map[int]uint64 { return v.seg.PeerIters() }
+
+// Arrivals signals after a peer update lands or a peer is removed (see
+// dstorm.Segment.Arrivals). Its one waiter is the rank's training
+// goroutine, which re-checks PeerIters after each signal.
+func (v *Vector) Arrivals() <-chan struct{} { return v.seg.Arrivals() }
 
 // Barrier blocks until all live ranks reach the vector's barrier — the
 // paper's g.barrier() for bulk-synchronous training. The owning node's send
