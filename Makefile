@@ -1,4 +1,4 @@
-.PHONY: all build test race lint fmt bench bench-baseline perf perf-selfcheck perf-smoke
+.PHONY: all build test race lint fmt bench perf perf-selfcheck perf-smoke
 
 all: build lint test
 
@@ -29,16 +29,6 @@ fmt:
 
 bench:
 	go test -run='^$$' -bench=. -benchtime=1x ./...
-
-# The canonical -exp list for the CI bench-regression gate. Regenerate the
-# checked-in baseline with this target when a change legitimately moves the
-# modeled numbers, and review the diff: only the metrics your change
-# explains should move (elapsed_sec and wall_* churn is expected — they are
-# informational and never gated).
-BENCH_EXPERIMENTS = pipeline,gather,fig13,saturation,saturation-wall,allreduce,ablation-queue,ablation-interleave,elastic,overlap,compression
-
-bench-baseline:
-	go run ./cmd/maltbench -exp $(BENCH_EXPERIMENTS) -json > BENCH_BASELINE.json
 
 # maltperf (benchmark/) is a nested module that compiles against compress,
 # core, vol, dstorm and stream, so `go build ./...` and `go test ./...` here

@@ -6,14 +6,9 @@
 //	maltbench -exp fig11 -curves # also dump the convergence curves
 //	maltbench -list              # list experiment IDs
 //
-// CI regression gate:
-//
-//	maltbench -exp pipeline -json -out bench.json   # machine-readable run
-//	maltbench -exp pipeline -check BENCH_BASELINE.json
-//
-// -check compares the run against a baseline file (15% tolerance on
-// modeled latencies and speedups, zero tolerance on correctness counters;
-// see bench.Compare) and exits 1 on any regression.
+// The deterministic counters each report prints (wire bytes, message
+// counts, conservation sums, fencing flags) are asserted at -quick size by
+// the bench package's TestExperimentsQuick, so `go test ./...` is the gate.
 package main
 
 import (
@@ -27,15 +22,12 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment ID (see -list) or 'all'")
-		scale    = flag.Int("scale", 1, "dataset scale multiplier")
-		quick    = flag.Bool("quick", false, "shrink runs to smoke-test size")
-		curves   = flag.Bool("curves", false, "print convergence curves after each report")
-		verb     = flag.Bool("v", false, "log progress while experiments run")
-		list     = flag.Bool("list", false, "list experiment IDs and exit")
-		jsonOut  = flag.Bool("json", false, "print the run as JSON instead of the text reports")
-		outFile  = flag.String("out", "", "also write the run JSON to this file")
-		checkArg = flag.String("check", "", "compare the run against this baseline JSON; exit 1 on regression")
+		exp    = flag.String("exp", "all", "experiment ID (see -list) or 'all'")
+		scale  = flag.Int("scale", 1, "dataset scale multiplier")
+		quick  = flag.Bool("quick", false, "shrink runs to smoke-test size")
+		curves = flag.Bool("curves", false, "print convergence curves after each report")
+		verb   = flag.Bool("v", false, "log progress while experiments run")
+		list   = flag.Bool("list", false, "list experiment IDs and exit")
 	)
 	flag.Parse()
 
@@ -57,7 +49,6 @@ func main() {
 	} else {
 		ids = strings.Split(*exp, ",")
 	}
-	var reports []*bench.Report
 	failed := 0
 	for _, id := range ids {
 		e, err := bench.Get(strings.TrimSpace(id))
@@ -71,58 +62,10 @@ func main() {
 			failed++
 			continue
 		}
-		reports = append(reports, report)
-		if !*jsonOut {
-			report.Print(os.Stdout)
-			if *curves {
-				report.PrintSeries(os.Stdout)
-			}
+		report.Print(os.Stdout)
+		if *curves {
+			report.PrintSeries(os.Stdout)
 		}
-	}
-
-	run := bench.ToJSON(reports)
-	if *jsonOut {
-		if err := run.WriteJSON(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	if *outFile != "" {
-		f, err := os.Create(*outFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := run.WriteJSON(f); err == nil {
-			err = f.Close()
-		} else {
-			f.Close()
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	if *checkArg != "" {
-		f, err := os.Open(*checkArg)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		baseline, err := bench.ReadBenchJSON(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if violations := bench.Compare(baseline, run, 0.15); len(violations) > 0 {
-			fmt.Fprintf(os.Stderr, "bench regression gate: %d violation(s) vs %s:\n", len(violations), *checkArg)
-			for _, v := range violations {
-				fmt.Fprintf(os.Stderr, "  %s\n", v)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bench regression gate: ok vs %s\n", *checkArg)
 	}
 	if failed > 0 {
 		os.Exit(1)

@@ -18,39 +18,32 @@ import (
 // asynchronous producer/consumer imbalance and reports, per depth, how
 // many updates the slow consumer lost to overwrites — the
 // freshness-vs-completeness dial.
-func init() {
-	register(Experiment{
-		ID:    "ablation-queue",
-		Title: "Receive-queue depth vs updates lost to overwrites (ASP, fast senders, slow consumer)",
-		Run: run("ablation-queue", "Receive-queue depth vs updates lost to overwrites (ASP, fast senders, slow consumer)",
-			func(o Options, r *Report) error {
-				depths := []int{1, 2, 4, 8, 16}
-				rounds := 400
-				if o.Quick {
-					depths = []int{1, 4, 16}
-					rounds = 150
-				}
-				const ranks, dim = 4, 256
+func runAblationQueue(o Options, r *Report) error {
+	depths := []int{1, 2, 4, 8, 16}
+	rounds := 400
+	if o.Quick {
+		depths = []int{1, 4, 16}
+		rounds = 150
+	}
+	const ranks, dim = 4, 256
 
-				r.Linef("%-8s %10s %12s %12s", "depth", "sent/peer", "consumed", "overwritten")
-				for _, depth := range depths {
-					consumed, overwritten, err := runQueueImbalance(ranks, dim, depth, rounds)
-					if err != nil {
-						return err
-					}
-					r.Linef("%-8d %10d %12d %12d", depth, rounds, consumed, overwritten)
-					r.Metric(fmt.Sprintf("overwritten_q%d", depth), float64(overwritten))
-					r.Metric(fmt.Sprintf("consumed_q%d", depth), float64(consumed))
-					// Conservation invariant: every deposited update is
-					// either consumed or overwritten — never lost, never
-					// duplicated. The split between the two is timing
-					// noise; the sum is exact.
-					r.Metric(fmt.Sprintf("delivered_q%d_exact", depth), float64(consumed+overwritten))
-				}
-				r.Linef("(deeper rings lose fewer updates; MALT accepts the loss — updates are approximate)")
-				return nil
-			}),
-	})
+	r.Linef("%-8s %10s %12s %12s", "depth", "sent/peer", "consumed", "overwritten")
+	for _, depth := range depths {
+		consumed, overwritten, err := runQueueImbalance(ranks, dim, depth, rounds)
+		if err != nil {
+			return err
+		}
+		r.Linef("%-8d %10d %12d %12d", depth, rounds, consumed, overwritten)
+		r.Metric(fmt.Sprintf("overwritten_q%d", depth), float64(overwritten))
+		r.Metric(fmt.Sprintf("consumed_q%d", depth), float64(consumed))
+		// Conservation invariant: every deposited update is
+		// either consumed or overwritten — never lost, never
+		// duplicated. The split between the two is timing
+		// noise; the sum is exact.
+		r.Metric(fmt.Sprintf("delivered_q%d_exact", depth), float64(consumed+overwritten))
+	}
+	r.Linef("(deeper rings lose fewer updates; MALT accepts the loss — updates are approximate)")
+	return nil
 }
 
 // runQueueImbalance drives ranks 1..N-1 as fast producers and rank 0 as a

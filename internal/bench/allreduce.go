@@ -9,25 +9,6 @@ import (
 	"malt/internal/fabric"
 )
 
-// allreduce: deterministic baseline for the paper's §3.4 comparison of
-// MALT's dataflows against classic all-reduce strategies. Eight ranks
-// average their vectors with naive all-to-all, tree reduce-broadcast and
-// butterfly mixing; the per-reduce message counts are closed-form
-// invariants of each algorithm (naive N(N−1), tree 2(N−1), butterfly
-// N·log₂N) and are gated with the Exact class — any drift in either
-// direction means the algorithm changed, not that a machine was slow. The
-// modeled wire time per reduce rides the fabric's deterministic cost model
-// and is gated LowerBetter; result mismatches against the directly
-// computed average are a Correctness gate.
-func init() {
-	title := "all-reduce baselines: per-reduce message counts and modeled wire time, naive vs tree vs butterfly (8 ranks)"
-	register(Experiment{
-		ID:    "allreduce",
-		Title: title,
-		Run:   run("allreduce", title, runAllreduceExp),
-	})
-}
-
 // allreduceTrial is one strategy's measured run.
 type allreduceTrial struct {
 	msgsPerReduce float64 // successful fabric writes per Reduce call
@@ -109,7 +90,15 @@ func runAllreduceTrial(s allreduce.Strategy, ranks, dim, rounds int) (allreduceT
 	return t, nil
 }
 
-func runAllreduceExp(o Options, r *Report) error {
+// runAllreduce is the baseline for the paper's §3.4 comparison of MALT's
+// dataflows against classic all-reduce strategies. Eight ranks average
+// their vectors with naive all-to-all, tree reduce-broadcast and butterfly
+// mixing. The per-reduce message counts are closed-form invariants of each
+// algorithm (naive N(N−1), tree 2(N−1), butterfly N·log₂N), so
+// TestExperimentsQuick asserts them exactly, along with zero result
+// mismatches against the directly computed average. The modeled wire time
+// per reduce rides the fabric's cost model.
+func runAllreduce(o Options, r *Report) error {
 	ranks, dim, rounds := 8, 1<<12, 8*o.Scale
 	if o.Quick {
 		dim, rounds = 1<<8, 2
@@ -125,7 +114,7 @@ func runAllreduceExp(o Options, r *Report) error {
 		r.Linef("%-9v %5.0f msgs/reduce, modeled %8.0f ns/reduce, %d mismatched coords",
 			s, t.msgsPerReduce, t.modelNs, t.mismatches)
 		// Message counts are algorithm invariants, independent of dim,
-		// rounds and machine: gate them exactly.
+		// rounds and machine.
 		r.Metric("msgs_per_reduce_"+s.String()+"_exact", t.msgsPerReduce)
 		r.Metric("model_ns_reduce_"+s.String(), t.modelNs)
 		mismatches += t.mismatches

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -57,7 +58,7 @@ func TestRegistry(t *testing.T) {
 	want := []string{"ablation-interleave", "ablation-queue", "allreduce", "compression",
 		"elastic", "fig10", "fig11", "fig12", "fig13", "fig14", "fig4", "fig5", "fig6",
 		"fig7", "fig8", "fig9", "gather", "overlap", "pipeline", "saturation",
-		"saturation-wall", "table2", "table3"}
+		"table2", "table3"}
 	if len(ids) != len(want) {
 		t.Fatalf("IDs = %v", ids)
 	}
@@ -234,9 +235,149 @@ func TestJitterSpec(t *testing.T) {
 	}
 }
 
-// TestExperimentsQuick runs every registered experiment at Quick size and
-// checks the headline shapes the paper reports. This is the integration
-// test for the whole reproduction; it is skipped under -short.
+// Closed forms of the quick-size shapes, shared by quickExact below.
+const (
+	// dstorm prepends seq(8) + iter(8) + len(4) to every update.
+	dstormHeader = 20
+	// compression: 4 ranks × 3 peers × 12 epochs × 6 batches per epoch
+	// (1200 examples / 4 ranks / cb 50) frames per arm, over dim 400.
+	compressFrames = 4 * 3 * 12 * 6
+	compressDim    = 400
+	// A codec frame opens with magic, codec ID and a uint32 count.
+	frameHeader = 6
+	// topk and hybrid keep ratio 0.125 of the coordinates.
+	topK = compressDim / 8
+	// saturation: dense dim-50000 updates, 20 scatters per rank.
+	satDim, satIters = 50000, 20
+	// fig13: every rank count ships the same 80 sparse batch updates
+	// (4000 webspam examples / cb 50; the shards split on batch
+	// boundaries), 6 796 920 bytes per destination in total. Recorded from
+	// a run, not derived: each update's size depends on the data.
+	fig13Bytes = 6796920
+)
+
+// quickExact pins every deterministic counter of the quick-size runs: wire
+// bytes, message counts, conservation sums, fencing and chaos flags, and
+// the zero-valued failure counters. A change that moves one of them changed
+// a wire format, an algorithm or a guarantee, not the machine, so each is
+// compared with ==. TestExperimentsQuick also fails when an experiment
+// emits such a counter that is missing here.
+var quickExact = map[string]map[string]float64{
+	"ablation-interleave": {"failed_interleave_no_gain": 0},
+	// Every deposited update is consumed or overwritten, whatever the
+	// depth: 3 producers × 150 rounds.
+	"ablation-queue": {
+		"delivered_q1_exact":  3 * 150,
+		"delivered_q4_exact":  3 * 150,
+		"delivered_q16_exact": 3 * 150,
+	},
+	// 8 ranks: naive N(N−1), tree 2(N−1), butterfly N·log₂N.
+	"allreduce": {
+		"msgs_per_reduce_naive_exact":     8 * 7,
+		"msgs_per_reduce_tree_exact":      2 * 7,
+		"msgs_per_reduce_butterfly_exact": 8 * 3,
+		"failed_result_mismatch":          0,
+	},
+	"compression": {
+		"wire_bytes_raw_exact": compressFrames * 8 * compressDim,
+		// uint32 k, then k × (uint32 idx, float64 val).
+		"wire_bytes_topk_exact": compressFrames * (frameHeader + 4 + topK*(4+8)),
+		// Two 256-coordinate blocks (mode + exponent each), one int8 per
+		// coordinate.
+		"wire_bytes_int8_exact": compressFrames * (frameHeader + 2*2 + compressDim),
+		// uint32 k, uint32 firstPos, one 64-pair group (mode + exponent),
+		// then k × (uint32 idx, int8 q).
+		"wire_bytes_hybrid_exact":       compressFrames * (frameHeader + 4 + 4 + 2 + topK*(4+1)),
+		"adapt_tightened_exact":         1,
+		"converged_within_2pct_exact":   1,
+		"chaos_events_fired_exact":      2, // blackout start and end
+		"failed_compress_fold_mismatch": 0,
+		"failed_convergence_above_1pct": 0,
+		"failed_reduction_below_4x":     0,
+	},
+	// All-to-all sends every update to N−1 peers, Halton to log₂N.
+	"fig13": {
+		"wire_bytes_all_n2_exact":    1 * fig13Bytes,
+		"wire_bytes_all_n4_exact":    3 * fig13Bytes,
+		"wire_bytes_all_n8_exact":    7 * fig13Bytes,
+		"wire_bytes_halton_n2_exact": 1 * fig13Bytes,
+		"wire_bytes_halton_n4_exact": 2 * fig13Bytes,
+		"wire_bytes_halton_n8_exact": 3 * fig13Bytes,
+	},
+	"elastic": {
+		"chaos_events_fired_exact":    2, // kill and rejoin
+		"rejoined_alive_exact":        1,
+		"stale_epoch_accepted_exact":  0,
+		"converged_within_2pct_exact": 1,
+	},
+	// The parallel arm folds dim/foldChunk chunks per gather, every round:
+	// these two counters drive the modeled speedup.
+	"gather": {
+		"chunks_folded_exact":  (1 << 14) / 4096 * 8,
+		"decode_fanout_frac":   1,
+		"failed_fold_mismatch": 0,
+		"lost_updates_gather":  0,
+	},
+	// 4 ranks × 2 rounds × 16 buckets.
+	"overlap": {
+		"buckets_sent_exact":       4 * 2 * 16,
+		"failed_fold_mismatch":     0,
+		"failed_overlap_monotonic": 0,
+		"lost_buckets":             0,
+		"lost_updates_overlap":     0,
+		"dup_buckets":              0,
+	},
+	// Count-only flushing at batch 16 saves 15 writes in 16.
+	"pipeline": {
+		"writes_saved_frac_1KiB": 1 - 1.0/16,
+		"writes_saved_frac_4KiB": 1 - 1.0/16,
+		"lost_updates_1KiB":      0,
+		"lost_updates_4KiB":      0,
+		"exhausted_writes":       0,
+		"failed_writes":          0,
+	},
+	// n·(n−1)·iters dense updates of header + 8·dim bytes.
+	"saturation": {
+		"wire_bytes_n2_exact": 2 * 1 * satIters * (dstormHeader + 8*satDim),
+		"wire_bytes_n4_exact": 4 * 3 * satIters * (dstormHeader + 8*satDim),
+	},
+}
+
+// exactCounter reports whether a metric name marks a deterministic counter
+// that quickExact must pin.
+func exactCounter(name string) bool {
+	return strings.HasSuffix(name, "_exact") ||
+		strings.HasPrefix(name, "failed_") ||
+		strings.HasPrefix(name, "lost_") ||
+		strings.HasPrefix(name, "dup_") ||
+		strings.Contains(name, "exhausted")
+}
+
+// checkExact compares a report against its quickExact row.
+func checkExact(t *testing.T, id string, r *Report) {
+	t.Helper()
+	want := quickExact[id]
+	for name, w := range want {
+		got, ok := r.Metrics[name]
+		switch {
+		case !ok:
+			t.Errorf("%s: %s missing from the report", id, name)
+		case got != w:
+			t.Errorf("%s: %s = %s, want %s", id, name,
+				strconv.FormatFloat(got, 'f', -1, 64), strconv.FormatFloat(w, 'f', -1, 64))
+		}
+	}
+	for name := range r.Metrics {
+		if _, ok := want[name]; exactCounter(name) && !ok {
+			t.Errorf("%s: counter %s has no quickExact entry", id, name)
+		}
+	}
+}
+
+// TestExperimentsQuick runs every registered experiment at Quick size,
+// asserts its deterministic counters exactly (quickExact) and checks the
+// headline shapes the paper reports. This is the integration test for the
+// whole reproduction; it is skipped under -short.
 func TestExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiment suite skipped in -short mode")
@@ -245,7 +386,6 @@ func TestExperimentsQuick(t *testing.T) {
 		t.Skip("quick experiment suite skipped under the race detector (covered by unit tests)")
 	}
 	opts := Options{Quick: true}
-	reports := map[string]*Report{}
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -256,8 +396,13 @@ func TestExperimentsQuick(t *testing.T) {
 			if len(rep.Lines) == 0 {
 				t.Fatalf("%s: empty report", e.ID)
 			}
-			reports[e.ID] = rep
+			checkExact(t, e.ID, rep)
 			check(t, e.ID, rep)
+			if t.Failed() {
+				var b strings.Builder
+				rep.Print(&b)
+				t.Log(b.String())
+			}
 		})
 	}
 }

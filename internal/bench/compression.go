@@ -14,27 +14,6 @@ import (
 	"malt/internal/trace"
 )
 
-// compression: adaptive gradient compression with error feedback (PR 10).
-// Four ranks train the same SVM under BSP/gradavg four times — uncompressed,
-// topk, int8 and hybrid — and the gate pins each codec's total wire bytes
-// exactly (BSP + the rank-ordered drain make training bitwise deterministic,
-// so frame sizes are too) while requiring >=4x wire reduction and <1%
-// accuracy loss versus the uncompressed arm. A determinism leg re-runs the
-// hybrid arm across bucket sizes and gather worker counts and compares final
-// models bitwise: global planning means fragmenting a frame must not change
-// a single ULP. A chaos leg blacks out one rank mid-training with the
-// adaptive controller on and asserts the per-link ratio tightened below the
-// base ratio (the max-merged ratio_per_link counter rose) and that the run
-// still converged within 2% of the blackout-free adaptive run.
-func init() {
-	const title = "Gradient compression: wire bytes and accuracy per codec, bitwise fold invariance, adaptive tightening under blackout (SVM, BSP, gradavg, ranks=4)"
-	register(Experiment{
-		ID:    "compression",
-		Title: title,
-		Run:   run("compression", title, runCompressionExp),
-	})
-}
-
 // compressArm is one full training run under one codec.
 type compressArm struct {
 	name string
@@ -68,7 +47,21 @@ func runCompressOne(base SVMOpts, copts compress.Options, tr *svm.Trainer, eval 
 	}, nil
 }
 
-func runCompressionExp(o Options, r *Report) error {
+// runCompression measures adaptive gradient compression with error
+// feedback. Four ranks train the same SVM under BSP/gradavg four times —
+// uncompressed, topk, int8 and hybrid. BSP and the rank-ordered drain make
+// training bitwise deterministic, so each codec's total wire bytes are a
+// closed form of its frame layout; the run also requires >=4x wire
+// reduction and <1% accuracy loss versus the uncompressed arm. A
+// determinism leg re-runs the hybrid arm across bucket sizes and gather
+// worker counts and compares final models bitwise: global planning means
+// fragmenting a frame must not change a single ULP. A chaos leg blacks out
+// one rank mid-training with the adaptive controller on and checks that
+// the per-link ratio tightened below the base ratio (the max-merged
+// ratio_per_link counter rose) and that the run still converged within 2
+// points of accuracy of the blackout-free adaptive run. TestExperimentsQuick
+// asserts every _exact and failed_* counter.
+func runCompression(o Options, r *Report) error {
 	ds, err := data.GenerateClassification(data.ClassificationSpec{
 		// 2,000 test examples keep the accuracy estimate's noise well under
 		// the 1% convergence criterion; dim 400 makes a dense update 3,200
@@ -168,12 +161,17 @@ func runCompressionExp(o Options, r *Report) error {
 	// controller on. The controller must halve the blacked-out links'
 	// ratios (ratio_per_link is max-merged, so the peak survives the
 	// post-blackout relaxation) and error feedback must carry the run to
-	// within 2% of the blackout-free adaptive reference.
+	// within 2 points of the blackout-free adaptive reference. Both runs
+	// stay BSP: the reference is then bitwise reproducible and only the
+	// updates the blackout drops vary run to run. (Under ASP, thread timing
+	// alone moved each run's accuracy by up to 9 points.)
 	adapt := base
-	adapt.Sync = consistency.ASP
+	// Quick keeps 24 epochs: the 2 ms per-batch delay below puts the run's
+	// floor at 288 ms, past the blackout's end at 220 ms, so both chaos
+	// events fire.
 	adapt.Epochs = 40
 	if o.Quick {
-		adapt.Epochs = 16
+		adapt.Epochs = 24
 	}
 	adapt.Compress = compress.Options{Codec: "topk", Ratio: 0.125, Adapt: true}
 	// The blackout must stay a transient fault: a huge strike budget keeps

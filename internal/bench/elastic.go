@@ -2,6 +2,7 @@ package bench
 
 import (
 	"errors"
+	"math"
 	"time"
 
 	"malt/internal/chaos"
@@ -12,112 +13,117 @@ import (
 	"malt/internal/ml/svm"
 )
 
-// Elastic-membership soak: one of N ranks is killed mid-training and then
-// rejoined through the epoch-stamped membership path — fresh epoch minted,
-// send/receive lists restored, a state snapshot (model, iteration counter,
-// SGD step count) donated by a publishing survivor, and the replica
-// goroutine relaunched from the snapshot. The gate asserts the healed run
-// converges within 2% of the fault-free reference, that every rank is alive
-// at exit, and that zero stale-epoch frames were accepted (a zombie probe of
-// the killed rank's pre-rejoin incarnation must be fenced).
-func init() {
-	const title = "Elastic membership: kill + epoch-stamped rejoin mid-training vs fault-free (SVM, ASP, gradavg, ranks=4)"
-	register(Experiment{
-		ID:    "elastic",
-		Title: title,
-		Run: run("elastic", title,
-			func(o Options, r *Report) error {
-				ds, err := data.GenerateClassification(data.ClassificationSpec{
-					// 2,000 test examples keep the accuracy estimate's noise
-					// well under the 2% convergence criterion.
-					Name: "elastic", Dim: 50, Train: 1200, Test: 2000, NNZ: 6, Noise: 0.05, Seed: 77,
-				})
-				if err != nil {
-					return err
-				}
-				epochs := 40
-				if o.Quick {
-					epochs = 16
-				}
-				base := SVMOpts{
-					DS: ds, Ranks: 4, CB: 50,
-					Sync: consistency.ASP, Mode: GradAvg,
-					Epochs: epochs, EvalEvery: 5,
-					SVM: svm.Config{Dim: ds.Dim, Lambda: 1e-4, Eta0: 1},
-					// One failed write confirms a death: the kill must be
-					// confirmed (and the epoch minted) well before the join.
-					Suspicion: fault.SuspicionConfig{Strikes: 1},
-					// A per-batch delay pins the scenario timeline to a stable
-					// fraction of the run (~480 ms minimum), so the kill and
-					// the rejoin land mid-training even under -race slowdown.
-					Jitter: JitterSpec{Base: 2 * time.Millisecond},
-				}
+// elasticReps is how many runs each arm of the elastic soak averages. One
+// ASP run's accuracy moves with thread timing, now and then by more than
+// the 2-point criterion (1 healed run in 12 on a loaded 2-core host: 0.878
+// against 0.9045 clean); a mean of three absorbs one such run.
+const elasticReps = 3
 
-				o.logf("elastic: fault-free reference")
-				clean, err := RunSVM(base)
-				if err != nil {
-					return err
-				}
-
-				const victim = 3
-				o.logf("elastic: kill rank %d at 150ms, rejoin at 350ms", victim)
-				opts := base
-				opts.PublishState = true
-				opts.Chaos = chaos.New(99).
-					KillAt(150*time.Millisecond, victim).
-					JoinAt(350*time.Millisecond, victim)
-				res, err := RunSVM(opts)
-				if err != nil {
-					return err
-				}
-				fab := res.Cluster.Fabric()
-
-				fired := len(res.ChaosLog)
-				r.Metric("chaos_events_fired_exact", float64(fired))
-
-				// Every rank — including the healed one — alive at exit.
-				alive := 1.0
-				if len(fab.AliveRanks()) != opts.Ranks {
-					alive = 0
-				}
-				r.Metric("rejoined_alive_exact", alive)
-
-				// Zombie probe: revive the victim's transport endpoint without
-				// re-admitting it. Its old incarnation must be fenced by the
-				// epoch check, not accepted.
-				accepted := 0.0
-				if err := fab.Kill(victim); err != nil {
-					return err
-				}
-				if err := fab.Revive(victim); err != nil {
-					return err
-				}
-				if err := fab.Write(victim, 0, "malt/probe/zombie", nil); !errors.Is(err, fabric.ErrStaleEpoch) {
-					accepted = 1
-				}
-				r.Metric("stale_epoch_accepted_exact", accepted)
-				r.Metric("stale_epoch_rejected", float64(fab.StaleEpochRejected()))
-
-				// Convergence within 2% of the fault-free run, on the
-				// tail-averaged models (the raw final iterate carries one
-				// batch's ASP noise).
-				tr, err := svm.New(svm.Config{Dim: ds.Dim})
-				if err != nil {
-					return err
-				}
-				cleanAcc := tr.Accuracy(clean.FinalWTail, ds.Test)
-				healAcc := tr.Accuracy(res.FinalWTail, ds.Test)
-				converged := 1.0
-				if healAcc < cleanAcc-0.02 {
-					converged = 0
-				}
-				r.Metric("converged_within_2pct_exact", converged)
-				r.Metric("clean_acc", cleanAcc)
-				r.Metric("healed_acc", healAcc)
-				r.Linef("fault-free accuracy %.4f, healed accuracy %.4f (%d chaos events fired)",
-					cleanAcc, healAcc, fired)
-				r.Linef("all ranks alive at exit: %v; zombie probe fenced: %v", alive == 1, accepted == 0)
-				return nil
-			}),
+// runElastic is the elastic-membership soak: one of N ranks is killed
+// mid-training and then rejoined through the epoch-stamped membership path
+// — fresh epoch minted, send/receive lists restored, a state snapshot
+// (model, iteration counter, SGD step count) donated by a publishing
+// survivor, and the replica goroutine relaunched from the snapshot.
+// Each arm runs elasticReps times. TestExperimentsQuick asserts that every
+// healed run fired both chaos events and ended with every rank alive, that
+// the healed runs' mean accuracy is within 2 points of the fault-free
+// runs' mean, and that zero stale-epoch frames were accepted (a zombie
+// probe of the killed rank's pre-rejoin incarnation must be fenced).
+func runElastic(o Options, r *Report) error {
+	ds, err := data.GenerateClassification(data.ClassificationSpec{
+		// 2,000 test examples keep the accuracy estimate's noise
+		// well under the 2% convergence criterion.
+		Name: "elastic", Dim: 50, Train: 1200, Test: 2000, NNZ: 6, Noise: 0.05, Seed: 77,
 	})
+	if err != nil {
+		return err
+	}
+	// Quick runs the full 40 epochs too: the scenario's rejoin at 350 ms
+	// must land before training ends.
+	base := SVMOpts{
+		DS: ds, Ranks: 4, CB: 50,
+		Sync: consistency.ASP, Mode: GradAvg,
+		Epochs: 40, EvalEvery: 5,
+		SVM: svm.Config{Dim: ds.Dim, Lambda: 1e-4, Eta0: 1},
+		// One failed write confirms a death: the kill must be
+		// confirmed (and the epoch minted) well before the join.
+		Suspicion: fault.SuspicionConfig{Strikes: 1},
+		// A per-batch delay pins the scenario timeline to a stable
+		// fraction of the run (~480 ms minimum), so the kill and
+		// the rejoin land mid-training even under -race slowdown.
+		Jitter: JitterSpec{Base: 2 * time.Millisecond},
+	}
+
+	// Convergence compares the tail-averaged models (the raw final
+	// iterate carries one batch's ASP noise).
+	tr, err := svm.New(svm.Config{Dim: ds.Dim})
+	if err != nil {
+		return err
+	}
+	var cleanAcc float64
+	for i := 1; i <= elasticReps; i++ {
+		o.logf("elastic: fault-free reference %d/%d", i, elasticReps)
+		clean, err := RunSVM(base)
+		if err != nil {
+			return err
+		}
+		cleanAcc += tr.Accuracy(clean.FinalWTail, ds.Test) / elasticReps
+	}
+
+	const victim = 3
+	var (
+		healAcc float64
+		fired   = math.MaxInt
+		alive   = 1.0
+		res     *RunStats
+	)
+	for i := 1; i <= elasticReps; i++ {
+		o.logf("elastic: kill rank %d at 150ms, rejoin at 350ms (%d/%d)", victim, i, elasticReps)
+		opts := base
+		opts.PublishState = true
+		opts.Chaos = chaos.New(99).
+			KillAt(150*time.Millisecond, victim).
+			JoinAt(350*time.Millisecond, victim)
+		res, err = RunSVM(opts)
+		if err != nil {
+			return err
+		}
+		healAcc += tr.Accuracy(res.FinalWTail, ds.Test) / elasticReps
+		fired = min(fired, len(res.ChaosLog))
+		// Every rank — including the healed one — alive at exit.
+		if len(res.Cluster.Fabric().AliveRanks()) != opts.Ranks {
+			alive = 0
+		}
+	}
+	r.Metric("chaos_events_fired_exact", float64(fired))
+	r.Metric("rejoined_alive_exact", alive)
+
+	// Zombie probe on the last healed run: revive the victim's
+	// transport endpoint without re-admitting it. Its old incarnation
+	// must be fenced by the epoch check, not accepted.
+	fab := res.Cluster.Fabric()
+	accepted := 0.0
+	if err := fab.Kill(victim); err != nil {
+		return err
+	}
+	if err := fab.Revive(victim); err != nil {
+		return err
+	}
+	if err := fab.Write(victim, 0, "malt/probe/zombie", nil); !errors.Is(err, fabric.ErrStaleEpoch) {
+		accepted = 1
+	}
+	r.Metric("stale_epoch_accepted_exact", accepted)
+	r.Metric("stale_epoch_rejected", float64(fab.StaleEpochRejected()))
+
+	converged := 1.0
+	if healAcc < cleanAcc-0.02 {
+		converged = 0
+	}
+	r.Metric("converged_within_2pct_exact", converged)
+	r.Metric("clean_acc", cleanAcc)
+	r.Metric("healed_acc", healAcc)
+	r.Linef("fault-free accuracy %.4f, healed accuracy %.4f (means of %d runs; every healed run fired %d+ chaos events)",
+		cleanAcc, healAcc, elasticReps, fired)
+	r.Linef("all ranks alive at exit: %v; zombie probe fenced: %v", alive == 1, accepted == 0)
+	return nil
 }

@@ -13,29 +13,22 @@ import (
 // (ASP) and bounded-staleness (SSP) training on the splice-site workload
 // (all, modelavg, cb=5000, ranks=8). The paper finds SSP fastest to the
 // goal, then ASP, then BSP (6× and 7.2× over BSP).
-func init() {
-	register(Experiment{
-		ID:    "fig10",
-		Title: "Splice-site: BSP vs ASP vs SSP (all, modelavg, cb=5000, ranks=8)",
-		Run: run("fig10", "Splice-site: BSP vs ASP vs SSP (all, modelavg, cb=5000, ranks=8)",
-			func(o Options, r *Report) error {
-				if o.Quick {
-					ds, err := data.GenerateClassification(data.ClassificationSpec{
-						Name: "splice", Dim: 20000, Train: 6000, Test: 1000,
-						NNZ: 60, Noise: 0.10, Seed: 105,
-					})
-					if err != nil {
-						return err
-					}
-					return fig10Body(o, r, ds, 4, 6)
-				}
-				ds, err := data.SpliceShape.Generate(o.Scale)
-				if err != nil {
-					return err
-				}
-				return fig10Body(o, r, ds, 8, 12)
-			}),
-	})
+func runFig10(o Options, r *Report) error {
+	if o.Quick {
+		ds, err := data.GenerateClassification(data.ClassificationSpec{
+			Name: "splice", Dim: 20000, Train: 6000, Test: 1000,
+			NNZ: 60, Noise: 0.10, Seed: 105,
+		})
+		if err != nil {
+			return err
+		}
+		return fig10Body(o, r, ds, 4, 6)
+	}
+	ds, err := data.SpliceShape.Generate(o.Scale)
+	if err != nil {
+		return err
+	}
+	return fig10Body(o, r, ds, 8, 12)
 }
 
 func fig10Body(o Options, r *Report, ds *data.Dataset, ranks, epochs int) error {

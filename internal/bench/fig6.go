@@ -19,63 +19,56 @@ import (
 // batch sizes. Every layer is its own MALT vector, synchronized per batch.
 // The paper reaches AUC 0.70 up to 1.5× faster than single-rank, with an
 // interior-optimal cb (20k beats 15k and 25k).
-func init() {
-	register(Experiment{
-		ID:    "fig6",
-		Title: "KDD12 SSI neural network AUC vs time (all, BSP, modelavg, ranks=8), cb sweep",
-		Run: run("fig6", "KDD12 SSI neural network AUC vs time (all, BSP, modelavg, ranks=8), cb sweep",
-			func(o Options, r *Report) error {
-				spec := data.KDD12Spec(o.Scale)
-				ranks, epochs := 8, 6
-				nominals := []int{15000, 20000, 25000}
-				if o.Quick {
-					spec.Dim = 2000
-					spec.Train = 8000
-					spec.Test = 1500
-					ranks, epochs = 4, 3
-					nominals = []int{20000}
-				}
-				ds, err := data.GenerateClicks(spec)
-				if err != nil {
-					return err
-				}
-				nnCfg := nn.Config{Input: ds.Dim, H1: 64, H2: 32, Eta0: 0.1}
+func runFig6(o Options, r *Report) error {
+	spec := data.KDD12Spec(o.Scale)
+	ranks, epochs := 8, 6
+	nominals := []int{15000, 20000, 25000}
+	if o.Quick {
+		spec.Dim = 2000
+		spec.Train = 8000
+		spec.Test = 1500
+		ranks, epochs = 4, 3
+		nominals = []int{20000}
+	}
+	ds, err := data.GenerateClicks(spec)
+	if err != nil {
+		return err
+	}
+	nnCfg := nn.Config{Input: ds.Dim, H1: 64, H2: 32, Eta0: 0.1}
 
-				o.logf("fig6: single-rank baseline")
-				serial, err := runSerialNN(ds, nnCfg, epochs)
-				if err != nil {
-					return err
-				}
-				// Model averaging needs more passes to match the serial AUC
-				// (each replica sees 1/ranks of the data per epoch), so the
-				// distributed runs get extra epochs and stop at the goal.
-				distEpochs := 2*epochs + 2
-				goal := serial.Final() * 0.98
-				serialTime, _ := serial.TimeToExceed(goal)
-				r.Series = append(r.Series, serial)
-				r.Linef("goal AUC %.4f; single-rank time %.2fs", goal, serialTime)
+	o.logf("fig6: single-rank baseline")
+	serial, err := runSerialNN(ds, nnCfg, epochs)
+	if err != nil {
+		return err
+	}
+	// Model averaging needs more passes to match the serial AUC
+	// (each replica sees 1/ranks of the data per epoch), so the
+	// distributed runs get extra epochs and stop at the goal.
+	distEpochs := 2*epochs + 2
+	goal := serial.Final() * 0.98
+	serialTime, _ := serial.TimeToExceed(goal)
+	r.Series = append(r.Series, serial)
+	r.Linef("goal AUC %.4f; single-rank time %.2fs", goal, serialTime)
 
-				for _, nominal := range nominals {
-					cb := cbScale(nominal)
-					o.logf("fig6: distributed run cb=%d", cb)
-					curve, err := runDistributedNN(ds, nnCfg, ranks, cb, distEpochs, goal)
-					if err != nil {
-						return err
-					}
-					curve.Label = fmt.Sprintf("kdd12/nn/cb=%d", nominal)
-					r.Series = append(r.Series, curve)
-					if t, ok := curve.TimeToExceed(goal); ok {
-						sp := speedup(serialTime, t)
-						r.Linef("MALT_all cb=%-6d (scaled %3d): %6.2fs -> %.2fx", nominal, cb, t, sp)
-						r.Metric(fmt.Sprintf("speedup_cb%d", nominal), sp)
-					} else {
-						r.Linef("MALT_all cb=%-6d (scaled %3d): goal not reached (final AUC %.4f)", nominal, cb, curve.Final())
-						r.Metric(fmt.Sprintf("speedup_cb%d", nominal), 0)
-					}
-				}
-				return nil
-			}),
-	})
+	for _, nominal := range nominals {
+		cb := cbScale(nominal)
+		o.logf("fig6: distributed run cb=%d", cb)
+		curve, err := runDistributedNN(ds, nnCfg, ranks, cb, distEpochs, goal)
+		if err != nil {
+			return err
+		}
+		curve.Label = fmt.Sprintf("kdd12/nn/cb=%d", nominal)
+		r.Series = append(r.Series, curve)
+		if t, ok := curve.TimeToExceed(goal); ok {
+			sp := speedup(serialTime, t)
+			r.Linef("MALT_all cb=%-6d (scaled %3d): %6.2fs -> %.2fx", nominal, cb, t, sp)
+			r.Metric(fmt.Sprintf("speedup_cb%d", nominal), sp)
+		} else {
+			r.Linef("MALT_all cb=%-6d (scaled %3d): goal not reached (final AUC %.4f)", nominal, cb, curve.Final())
+			r.Metric(fmt.Sprintf("speedup_cb%d", nominal), 0)
+		}
+	}
+	return nil
 }
 
 func runSerialNN(ds *data.Dataset, cfg nn.Config, epochs int) (Series, error) {

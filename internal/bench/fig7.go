@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -20,71 +21,64 @@ import (
 // learning rates, against single-rank SGD with a fixed rate. The paper
 // reports 1.9× (fixed) and 1.5× (byiter) fewer iterations to the RMSE
 // goal.
-func init() {
-	register(Experiment{
-		ID:    "fig7",
-		Title: "Netflix MF test RMSE vs iterations: Hogwild-over-MALT (ASYNC, ranks=2, cb=1000) fixed/byiter",
-		Run: run("fig7", "Netflix MF test RMSE vs iterations: Hogwild-over-MALT (ASYNC, ranks=2, cb=1000) fixed/byiter",
-			func(o Options, r *Report) error {
-				spec := data.NetflixSpec(o.Scale)
-				epochs := 12
-				if o.Quick {
-					spec.Users, spec.Items = 600, 200
-					spec.Train = 30000
-					spec.Test = 3000
-					epochs = 8
-				}
-				// A lower learning rate stretches convergence over several
-				// epochs so the iteration axis resolves the configurations.
-				eta := 0.01
-				ds, err := data.GenerateRatings(spec)
-				if err != nil {
-					return err
-				}
-				// The paper sorts by movie and splits across ranks so
-				// Hogwild overwrites rarely collide.
-				ds.SortByItem()
-				const ranks = 2
-				cb := 500 // nominal 1000 at the paper's scale
-				mfCfg := mf.Config{Users: ds.Users, Items: ds.Items, Rank: ds.Rank, Eta0: eta}
+func runFig7(o Options, r *Report) error {
+	spec := data.NetflixSpec(o.Scale)
+	epochs := 12
+	if o.Quick {
+		spec.Users, spec.Items = 600, 200
+		spec.Train = 30000
+		spec.Test = 3000
+		epochs = 8
+	}
+	// A lower learning rate stretches convergence over several
+	// epochs so the iteration axis resolves the configurations.
+	eta := 0.01
+	ds, err := data.GenerateRatings(spec)
+	if err != nil {
+		return err
+	}
+	// The paper sorts by movie and splits across ranks so
+	// Hogwild overwrites rarely collide.
+	ds.SortByItem()
+	const ranks = 2
+	cb := 500 // nominal 1000 at the paper's scale
+	mfCfg := mf.Config{Users: ds.Users, Items: ds.Items, Rank: ds.Rank, Eta0: eta}
 
-				o.logf("fig7: single-rank SGD (fixed rate)")
-				serial, err := runSerialMF(ds, mfCfg, epochs)
-				if err != nil {
-					return err
-				}
-				goal := serial.Final() * 1.002
-				serialIters, ok := serial.ItersToReach(goal)
-				if !ok {
-					serialIters = serial.Points[len(serial.Points)-1].Iter
-				}
-				r.Series = append(r.Series, serial)
-				r.Linef("goal test RMSE %.4f; single-rank SGD: %.0f ratings", goal, serialIters)
+	o.logf("fig7: single-rank SGD (fixed rate)")
+	serial, err := runSerialMF(ds, mfCfg, epochs)
+	if err != nil {
+		return err
+	}
+	goal := serial.Final() * 1.002
+	serialIters, ok := serial.ItersToReach(goal)
+	if !ok {
+		serialIters = serial.Points[len(serial.Points)-1].Iter
+	}
+	r.Series = append(r.Series, serial)
+	r.Linef("goal test RMSE %.4f; single-rank SGD: %.0f ratings", goal, serialIters)
 
-				for _, sched := range []string{"fixed", "byiter"} {
-					o.logf("fig7: MALT %s", sched)
-					cfg := mfCfg
-					if sched == "byiter" {
-						cfg.Schedule = sgd.ByIter{Eta0: mfCfg.Eta0 * 1.5, Every: uint64(len(ds.Train) / ranks), Factor: 0.9}
-					}
-					curve, err := runDistributedMF(ds, cfg, ranks, cb, 2*epochs)
-					if err != nil {
-						return err
-					}
-					curve.Label = "netflix/malt-" + sched
-					r.Series = append(r.Series, curve)
-					if it, ok := curve.ItersToReach(goal); ok {
-						sp := speedup(serialIters, it)
-						r.Linef("MALT-%-7s cb=1000 (scaled %d): %.0f ratings/rank -> %.1fx by iterations", sched, cb, it, sp)
-						r.Metric("speedup_"+sched, sp)
-					} else {
-						r.Linef("MALT-%-7s cb=1000 (scaled %d): goal not reached (final %.4f)", sched, cb, curve.Final())
-						r.Metric("speedup_"+sched, 0)
-					}
-				}
-				return nil
-			}),
-	})
+	for _, sched := range []string{"fixed", "byiter"} {
+		o.logf("fig7: MALT %s", sched)
+		cfg := mfCfg
+		if sched == "byiter" {
+			cfg.Schedule = sgd.ByIter{Eta0: mfCfg.Eta0 * 1.5, Every: uint64(len(ds.Train) / ranks), Factor: 0.9}
+		}
+		curve, err := runDistributedMF(ds, cfg, ranks, cb, 2*epochs)
+		if err != nil {
+			return err
+		}
+		curve.Label = "netflix/malt-" + sched
+		r.Series = append(r.Series, curve)
+		if it, ok := curve.ItersToReach(goal); ok {
+			sp := speedup(serialIters, it)
+			r.Linef("MALT-%-7s cb=1000 (scaled %d): %.0f ratings/rank -> %.1fx by iterations", sched, cb, it, sp)
+			r.Metric("speedup_"+sched, sp)
+		} else {
+			r.Linef("MALT-%-7s cb=1000 (scaled %d): goal not reached (final %.4f)", sched, cb, curve.Final())
+			r.Metric("speedup_"+sched, 0)
+		}
+	}
+	return nil
 }
 
 func runSerialMF(ds *data.RatingsDataset, cfg mf.Config, epochs int) (Series, error) {
@@ -211,11 +205,7 @@ func scatterRows(ctx *core.Context, v *vol.Vector, touched map[int32]bool, rank 
 		rows = append(rows, r)
 	}
 	// Sparse payloads need strictly increasing indices.
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && rows[j] < rows[j-1]; j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-		}
-	}
+	slices.Sort(rows)
 	up := &linalg.SparseVector{}
 	dataVec := v.Data()
 	for _, row := range rows {

@@ -4,36 +4,12 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"time"
 
 	"malt/internal/dataflow"
 	"malt/internal/dstorm"
 	"malt/internal/fabric"
 	"malt/internal/vol"
 )
-
-// gather: ablation of the parallel gather/fold engine (PR 4). Eight senders
-// scatter dense 64K-dim models into rank 0 over a MasterSlave star; rank 0
-// gathers with Average. The serial arm runs the single-threaded engine; the
-// parallel arm fans decodes across the node's gather pool and folds the
-// coordinate axis in chunks.
-//
-// The CI regression gate keys off deterministic quantities only: the modeled
-// gather+fold latency (a coordinate-cost model driven by the engine's
-// observed GatherPerf counters — if the engine silently stops fanning out
-// decodes or folding in chunks, the counters collapse and the modeled
-// speedup falls), the decode fan-out fraction, and the correctness counters.
-// Chunked folding preserves each coordinate's addition order, so the two
-// arms' final models are compared bitwise and any mismatch is a gate
-// failure. Wall-clock numbers are reported but informational.
-func init() {
-	title := "parallel gather ablation: modeled+wall gather/fold cost, serial vs pooled (8-sender fan-in)"
-	register(Experiment{
-		ID:    "gather",
-		Title: title,
-		Run:   run("gather", title, runGatherExp),
-	})
-}
 
 // Modeled per-coordinate costs. Like the fabric's 3 µs base latency these
 // are model constants, not measurements: 1 ns to decode one coordinate off
@@ -46,7 +22,6 @@ const (
 
 // gatherTrial is one measured arm of the gather ablation.
 type gatherTrial struct {
-	wallNsGather float64   // wall ns per gather call (informational)
 	modelNs      float64   // modeled gather+fold ns per gather (deterministic)
 	folded       uint64    // updates folded across all rounds
 	decodeTasks  uint64    // decodes fanned out to the pool
@@ -117,7 +92,6 @@ func runGatherTrial(senders, dim, rounds, workers, foldChunk int) (gatherTrial, 
 		defer c.Node(0).DisableParallelGather()
 	}
 
-	var wall time.Duration
 	for round := 1; round <= rounds; round++ {
 		for r := 1; r <= senders; r++ {
 			d := vecs[r].Data()
@@ -130,9 +104,7 @@ func runGatherTrial(senders, dim, rounds, workers, foldChunk int) (gatherTrial, 
 				return t, err
 			}
 		}
-		start := time.Now()
 		st, err := vecs[0].Gather(vol.Average)
-		wall += time.Since(start)
 		if err != nil {
 			return t, err
 		}
@@ -141,13 +113,25 @@ func runGatherTrial(senders, dim, rounds, workers, foldChunk int) (gatherTrial, 
 	perf := vecs[0].GatherPerf()
 	t.decodeTasks = perf.DecodeTasks
 	t.chunksFolded = perf.ChunksFolded
-	t.wallNsGather = float64(wall.Nanoseconds()) / float64(rounds)
 	t.modelNs = gatherModelNs(dim, rounds, workers, foldChunk, t)
 	t.data = append([]float64(nil), vecs[0].Data()...)
 	return t, nil
 }
 
-func runGatherExp(o Options, r *Report) error {
+// runGather is the ablation of the parallel gather/fold engine. Eight
+// senders scatter dense 64K-dim models into rank 0 over a MasterSlave star;
+// rank 0 gathers with Average. The serial arm runs the single-threaded
+// engine; the parallel arm fans decodes across the node's gather pool and
+// folds the coordinate axis in chunks.
+//
+// The modeled gather+fold latency is a coordinate-cost model driven by the
+// engine's observed GatherPerf counters: if the engine silently stops
+// fanning out decodes or folding in chunks, the counters collapse and the
+// modeled speedup falls. Chunked folding preserves each coordinate's
+// addition order, so the two arms' final models are compared bitwise;
+// TestExperimentsQuick asserts zero mismatches, zero lost updates, full
+// decode fan-out and the exact chunk count.
+func runGather(o Options, r *Report) error {
 	senders, dim, rounds := 8, 1<<16, 24*o.Scale
 	workers, foldChunk := 4, vol.DefaultFoldChunk
 	if o.Quick {
@@ -177,13 +161,11 @@ func runGatherExp(o Options, r *Report) error {
 	r.Metric("model_ns_gather_parallel", par.modelNs)
 	r.Metric("model_speedup_gather", speedup(serial.modelNs, par.modelNs))
 	r.Metric("decode_fanout_frac", float64(par.decodeTasks)/float64(expected))
-	r.Metric("wall_ns_gather_serial", serial.wallNsGather)
-	r.Metric("wall_ns_gather_parallel", par.wallNsGather)
+	r.Metric("chunks_folded_exact", float64(par.chunksFolded))
 	r.Metric("failed_fold_mismatch", float64(mismatch))
 	r.Metric("lost_updates_gather", float64(expected-serial.folded)+float64(expected-par.folded))
-	r.Linef("%d senders, dim %d: modeled %.0f -> %.0f ns/gather (%.2fx), wall %.0f -> %.0f ns/gather",
-		senders, dim, serial.modelNs, par.modelNs, speedup(serial.modelNs, par.modelNs),
-		serial.wallNsGather, par.wallNsGather)
+	r.Linef("%d senders, dim %d: modeled %.0f -> %.0f ns/gather (%.2fx)",
+		senders, dim, serial.modelNs, par.modelNs, speedup(serial.modelNs, par.modelNs))
 	r.Linef("parallel arm: %d decode tasks, %d chunks folded, %d bitwise-mismatched coords",
 		par.decodeTasks, par.chunksFolded, mismatch)
 

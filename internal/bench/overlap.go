@@ -13,31 +13,6 @@ import (
 	"malt/internal/vol"
 )
 
-// overlap: comm/compute overlap via gradient bucketing (PR 8). Eight ranks
-// run BSP gradient rounds over an all-to-all dataflow; each round the
-// trainer produces its gradient bucket by bucket (core.ScatterBucketed) so
-// bucket i is on the send pipeline's wire while bucket i+1 is still being
-// written. The sweep grows the bucket count and watches the modeled exposed
-// communication time — the wire time left on the critical path at the
-// iteration edge — shrink toward the single-bucket wire latency floor.
-//
-// The CI gate keys off deterministic quantities only: the exposed-time
-// model is an analytic send/compute timeline driven by the *observed*
-// fragment counts (if the bucketing engine silently stops splitting, the
-// observed bucket count collapses to 1 and the modeled speedup with it),
-// the fragment conservation counters, and a bitwise comparison of every
-// bucketed arm's folded model against the unbucketed arm — reassembly
-// before folding means the fold input multiset and order are identical, so
-// any float deviation is a gate failure. Wall numbers are informational.
-func init() {
-	title := "comm/compute overlap: modeled exposed comm time vs gradient bucket count (8-rank all-to-all)"
-	register(Experiment{
-		ID:    "overlap",
-		Title: title,
-		Run:   run("overlap", title, runOverlapExp),
-	})
-}
-
 // Model constants. Latency and bandwidth mirror the simulated fabric's
 // defaults (1.5 µs per write, 5 GiB/s); the compute cost is a nominal
 // 16 ns/coordinate gradient-production rate chosen so the full model's
@@ -87,7 +62,6 @@ type overlapTrial struct {
 	evicted    uint64    // incomplete assemblies abandoned
 	dups       uint64    // duplicate fragments absorbed
 	folded     uint64    // updates folded across all ranks and rounds
-	wallNs     float64   // wall ns per round (informational)
 	data       []float64 // rank 0's final model, for bitwise comparison
 }
 
@@ -159,11 +133,25 @@ func runOverlapTrial(ranks, dim, rounds, bucketBytes int) (overlapTrial, error) 
 	if err := res.FirstError(); err != nil {
 		return t, err
 	}
-	t.wallNs = float64(res.Elapsed.Nanoseconds()) / float64(rounds)
 	return t, nil
 }
 
-func runOverlapExp(o Options, r *Report) error {
+// runOverlap measures comm/compute overlap via gradient bucketing. Eight
+// ranks run BSP gradient rounds over an all-to-all dataflow; each round the
+// trainer produces its gradient bucket by bucket (core.ScatterBucketed) so
+// bucket i is on the send pipeline's wire while bucket i+1 is still being
+// written. The sweep grows the bucket count and watches the modeled exposed
+// communication time — the wire time left on the critical path at the
+// iteration edge — shrink toward the single-bucket wire latency floor.
+//
+// The exposed-time model is an analytic send/compute timeline driven by
+// the *observed* fragment counts: if the bucketing engine silently stops
+// splitting, the observed bucket count collapses to 1 and the modeled
+// speedup with it. Reassembly before folding means every bucketed arm
+// folds the same inputs in the same order as the unbucketed arm, so the
+// final models are compared bitwise. TestExperimentsQuick asserts the
+// fragment count and zero mismatched, lost or duplicate updates.
+func runOverlap(o Options, r *Report) error {
 	ranks, dim, rounds := 8, 1<<18, 4*o.Scale
 	sweep := []int{1, 2, 4, 8, 16, 32, 64}
 	if o.Quick {
@@ -193,7 +181,7 @@ func runOverlapExp(o Options, r *Report) error {
 		trials[k] = t
 
 		// The model consumes the *observed* per-scatter fragment count, so
-		// the gate notices if the engine stops splitting.
+		// it collapses if the engine stops splitting.
 		obsB := 1
 		if b > 1 {
 			obsB = int(t.fragsTotal) / (ranks * rounds)
@@ -228,8 +216,6 @@ func runOverlapExp(o Options, r *Report) error {
 	r.Metric("lost_updates_overlap", float64(lostUpd))
 	r.Metric("dup_buckets", float64(dups))
 	r.Metric("buckets_sent_exact", float64(trials[last].fragsTotal))
-	r.Metric("wall_ns_round_unbucketed", trials[0].wallNs)
-	r.Metric("wall_ns_round_bucketed", trials[last].wallNs)
 
 	r.Linef("%d ranks, dim %d: modeled exposed comm %.0f -> %.0f ns/iter (%.1fx, %.0f%% of wire time hidden) at %d buckets",
 		ranks, dim, exposed[0], exposed[last], speedup(exposed[0], exposed[last]),

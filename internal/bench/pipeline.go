@@ -10,29 +10,8 @@ import (
 	"malt/internal/fabric"
 )
 
-// pipeline: ablation of the per-destination send coalescer (PR 3). Eight
-// ranks scatter model-sized updates all-to-all over a DelaySpin fabric with
-// the paper's upper-range InfiniBand base latency (3 µs per write). The
-// sync arm pays that latency once per destination per update; the batched
-// arm merges MaxBatchCount updates per destination into one fabric write.
-//
-// The CI regression gate keys off the deterministic metrics: modeled wire
-// time per update (fabric cost model, machine-independent), the exact
-// writes-saved fraction (1 - 1/batch with count-only flushing), and the
-// zero-valued correctness counters (lost/exhausted/failed). Wall-clock
-// numbers are reported but informational.
-func init() {
-	title := "send coalescing ablation: modeled+wall scatter cost, sync vs batched (all-to-all)"
-	register(Experiment{
-		ID:    "pipeline",
-		Title: title,
-		Run:   run("pipeline", title, runPipelineExp),
-	})
-}
-
 // pipeTrial is one measured configuration of the coalescing ablation.
 type pipeTrial struct {
-	wallNsOp    float64 // wall ns per scattered update (per sender op)
 	modelNsOp   float64 // modeled wire ns per delivered update
 	delivered   uint64  // updates that reached a peer ring
 	expected    uint64  // ranks * ops * fan-out
@@ -101,7 +80,6 @@ func runPipeTrial(ranks, ops, size, batch int) (pipeTrial, error) {
 	}
 
 	f.Stats().Reset() // measure only the scatter traffic, not segment setup
-	start := time.Now()
 	for r := 0; r < ranks; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -118,7 +96,6 @@ func runPipeTrial(ranks, ops, size, batch int) (pipeTrial, error) {
 		}(r)
 	}
 	wg.Wait()
-	wall := time.Since(start)
 	for _, err := range errs {
 		if err != nil {
 			return t, err
@@ -137,7 +114,6 @@ func runPipeTrial(ranks, ops, size, batch int) (pipeTrial, error) {
 	} else {
 		t.delivered = st.TotalMessages()
 	}
-	t.wallNsOp = float64(wall.Nanoseconds()) / float64(ranks*ops)
 	t.modelNsOp = float64(st.ModeledNetworkTime().Nanoseconds()) / float64(t.expected)
 	t.failed = st.FailedWrites()
 	for r := 0; r < ranks; r++ {
@@ -146,7 +122,15 @@ func runPipeTrial(ranks, ops, size, batch int) (pipeTrial, error) {
 	return t, nil
 }
 
-func runPipelineExp(o Options, r *Report) error {
+// runPipeline is the ablation of the per-destination send coalescer. Eight
+// ranks scatter model-sized updates all-to-all over a DelaySpin fabric with
+// the paper's upper-range InfiniBand base latency (3 µs per write). The
+// sync arm pays that latency once per destination per update; the batched
+// arm merges MaxBatchCount updates per destination into one fabric write.
+// The modeled wire time per update comes from the fabric cost model.
+// TestExperimentsQuick asserts the writes-saved fraction (1 - 1/batch with
+// count-only flushing) and zero lost, exhausted and failed writes.
+func runPipeline(o Options, r *Report) error {
 	ranks, ops, batch := 8, 256*o.Scale, 16
 	if o.Quick {
 		ranks, ops = 4, 64
@@ -170,22 +154,19 @@ func runPipelineExp(o Options, r *Report) error {
 		r.Metric("model_ns_update_batched_"+lbl, bat.modelNsOp)
 		r.Metric("model_speedup_"+lbl, speedup(base.modelNsOp, bat.modelNsOp))
 		r.Metric("writes_saved_frac_"+lbl, float64(bat.writesSaved)/float64(bat.expected))
-		r.Metric("wall_ns_op_sync_"+lbl, base.wallNsOp)
-		r.Metric("wall_ns_op_batched_"+lbl, bat.wallNsOp)
 		r.Metric("lost_updates_"+lbl, float64(base.expected-base.delivered)+float64(bat.expected-bat.delivered))
 		exhausted += base.exhausted + bat.exhausted
 		failed += base.failed + bat.failed
-		r.Linef("%s: modeled %.0f -> %.0f ns/update (%.2fx), wall %.0f -> %.0f ns/op, %d/%d writes saved",
+		r.Linef("%s: modeled %.0f -> %.0f ns/update (%.2fx), %d/%d writes saved",
 			lbl, base.modelNsOp, bat.modelNsOp, speedup(base.modelNsOp, bat.modelNsOp),
-			base.wallNsOp, bat.wallNsOp, bat.writesSaved, bat.expected)
+			bat.writesSaved, bat.expected)
 	}
 	r.Metric("exhausted_writes", float64(exhausted))
 	r.Metric("failed_writes", float64(failed))
 
-	// Batch-size ablation curve at 1 KiB: modeled and wall cost per update
-	// as the coalescer's count threshold grows. batch=1 is the sync path.
+	// Batch-size ablation curve at 1 KiB: modeled cost per update as the
+	// coalescer's count threshold grows. batch=1 is the sync path.
 	model := Series{Label: "modeled ns/update vs batch (1KiB)"}
-	wall := Series{Label: "wall ns/update vs batch (1KiB)"}
 	for _, b := range []int{1, 2, 4, 8, 16, 32} {
 		if ops%b != 0 {
 			continue
@@ -196,8 +177,7 @@ func runPipelineExp(o Options, r *Report) error {
 			return err
 		}
 		model.Points = append(model.Points, Point{Iter: float64(b), Value: t.modelNsOp})
-		wall.Points = append(wall.Points, Point{Iter: float64(b), Value: t.wallNsOp})
 	}
-	r.Series = append(r.Series, model, wall)
+	r.Series = append(r.Series, model)
 	return nil
 }
