@@ -80,10 +80,13 @@ func runSerialNN(ds *data.Dataset, cfg nn.Config, epochs int) (Series, error) {
 	start := time.Now()
 	seen := 0
 	const evalEvery = 2000
+	// Train in chunks that end at the evaluation points, with the same
+	// TrainEpoch kernel the distributed replicas run.
 	for e := 0; e < epochs; e++ {
-		for _, ex := range ds.Train {
-			net.Step(ex)
-			seen++
+		for rest := ds.Train; len(rest) > 0; {
+			k := min(len(rest), evalEvery-seen%evalEvery)
+			net.TrainEpoch(rest[:k])
+			rest, seen = rest[k:], seen+k
 			if seen%evalEvery == 0 {
 				curve.Points = append(curve.Points, Point{
 					Time: time.Since(start).Seconds(), Iter: float64(seen), Value: net.AUC(ds.Test),

@@ -48,8 +48,8 @@ func Axpy(alpha float64, x, y []float64) {
 // Scale multiplies every element of x by alpha in place. Unrolled by four:
 // the one-element loop retires an element per cycle only while its two dozen
 // bytes of code sit inside one 64-byte fetch line, and it is small enough to
-// be inlined, so its speed — and nn training's, which rescales a whole layer
-// per example — followed wherever the linker happened to place the caller.
+// be inlined, so its speed followed wherever the linker happened to place
+// the caller.
 func Scale(alpha float64, x []float64) {
 	for len(x) >= 4 {
 		x[0] *= alpha

@@ -102,10 +102,18 @@ func newLayer(in, out int, buf []float64) layer {
 }
 
 // Net is one replica's network. Not safe for concurrent use.
+//
+// Inside TrainEpoch the input layer's weights are held lazily: the true W1
+// is s0·buf, so a step's L2 decay multiplies the scalar s0 instead of all
+// H1·Input weights, and a step costs O(nnz·H1) (Bottou's SVM-SGD trick,
+// "Stochastic Gradient Descent Tricks", 2012). The biases are not decayed
+// and not scaled. Before TrainEpoch or Step returns, s0 is folded back into
+// the buffer and reset to 1, so outside them the buffers are the model.
 type Net struct {
 	cfg    Config
 	layers [NumLayers]layer
 	t      uint64
+	s0     float64 // W1 = s0·layers[0].w; 1 outside TrainEpoch and Step
 
 	// scratch (reused across Step calls)
 	z1, a1, d1 []float64
@@ -149,7 +157,7 @@ func NewOver(cfg Config, bufs [][]float64) (*Net, error) {
 			return nil, fmt.Errorf("nn: layer %d buffer is %d elements, want %d", i, len(bufs[i]), s)
 		}
 	}
-	n := &Net{cfg: cfg}
+	n := &Net{cfg: cfg, s0: 1}
 	n.layers[0] = newLayer(cfg.Input, cfg.H1, bufs[0])
 	n.layers[1] = newLayer(cfg.H1, cfg.H2, bufs[1])
 	n.layers[2] = newLayer(cfg.H2, 1, bufs[2])
@@ -188,6 +196,7 @@ func (n *Net) Params(i int) []float64 { return n.layers[i].buf }
 // Score runs the forward pass and returns the raw output score.
 func (n *Net) Score(x *linalg.SparseVector) float64 {
 	n.layers[0].w.MulVecSparse(n.z1, x)
+	linalg.Scale(n.s0, n.z1)
 	linalg.Axpy(1, n.layers[0].b, n.z1)
 	for i, z := range n.z1 {
 		n.a1[i] = math.Tanh(z)
@@ -200,8 +209,30 @@ func (n *Net) Score(x *linalg.SparseVector) float64 {
 	return linalg.Dot(n.layers[2].w.Row(0), n.a2) + n.layers[2].b[0]
 }
 
+// minScale and maxScale bound s0 (always positive): a step that would take
+// it outside settles first, so s0 never reaches 0 or overflows and the
+// −η/s0 update factor stays finite. A negative Lambda makes s0 grow.
+const minScale, maxScale = 1e-9, 1e9
+
 // Step performs one forward/backward pass and SGD update for an example.
+// One call costs O(H1·Input), because it settles the input layer's L2
+// decay into every weight; train a batch with TrainEpoch, which settles
+// once.
 func (n *Net) Step(ex data.Example) {
+	n.step(ex)
+	n.settle()
+}
+
+// settle folds s0 into the input layer's weights.
+func (n *Net) settle() {
+	if n.s0 != 1 {
+		linalg.Scale(n.s0, n.layers[0].w.Data)
+		n.s0 = 1
+	}
+}
+
+// step is Step without the settle: it leaves W1 as s0·buf.
+func (n *Net) step(ex data.Example) {
 	eta := n.cfg.Schedule.Rate(n.t)
 	n.t++
 	out := n.Score(ex.Features)
@@ -233,19 +264,35 @@ func (n *Net) Step(ex data.Example) {
 	n.layers[1].w.AddOuter(-eta, n.d2, n.a1)
 	linalg.Axpy(-eta, n.d2, n.layers[1].b)
 
-	// Hidden layer 1: W1 (H1×Input), sparse input outer product.
-	if lam != 0 {
-		linalg.Scale(1-eta*lam, n.layers[0].w.Data)
+	// Hidden layer 1: W1 (H1×Input), sparse input outer product. The decay
+	// goes into s0, and the update is divided by the decayed s0 so that
+	// s0·buf gains −η·d1·xᵀ. A factor ≤ 0 cannot be held in s0, so that
+	// step settles and decays every weight eagerly.
+	w1, decay := n.layers[0].w, 1-eta*lam
+	if decay <= 0 {
+		n.settle()
+		linalg.Scale(decay, w1.Data)
+		w1.AddOuterSparse(-eta, n.d1, ex.Features)
+	} else {
+		if s := n.s0 * decay; s < minScale || s > maxScale {
+			n.settle()
+		}
+		n.s0 *= decay
+		w1.AddOuterSparse(-eta/n.s0, n.d1, ex.Features)
 	}
-	n.layers[0].w.AddOuterSparse(-eta, n.d1, ex.Features)
 	linalg.Axpy(-eta, n.d1, n.layers[0].b)
 }
 
-// TrainEpoch runs Step over every example once, in order.
+// TrainEpoch runs one SGD step over every example, in order. When it
+// returns, the three layer buffers hold the trained model exactly: the
+// input layer's lazily kept decay has been folded back in, so a caller may
+// scatter the buffers (or build a second Net over copies of them with
+// NewOver) and get the same Score on every input.
 func (n *Net) TrainEpoch(examples []data.Example) {
 	for _, ex := range examples {
-		n.Step(ex)
+		n.step(ex)
 	}
+	n.settle()
 }
 
 // MeanLoss evaluates the average pointwise loss over examples.

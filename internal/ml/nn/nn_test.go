@@ -205,3 +205,138 @@ func TestZeroDerivSkipsUpdate(t *testing.T) {
 		}
 	}
 }
+
+// eagerStep is Step as it was before the input layer's decay became lazy:
+// every step rescales all of W1. It is the reference the lazy path must
+// match.
+func eagerStep(n *Net, ex data.Example) {
+	eta := n.cfg.Schedule.Rate(n.t)
+	n.t++
+	out := n.Score(ex.Features)
+	dOut := n.cfg.Loss.Deriv(out, ex.Label)
+	if dOut == 0 {
+		return
+	}
+	lam := n.cfg.Lambda
+
+	w3 := n.layers[2].w.Row(0)
+	for i := range n.d2 {
+		n.d2[i] = dOut * w3[i] * (1 - n.a2[i]*n.a2[i])
+	}
+	for i := range w3 {
+		w3[i] -= eta * (dOut*n.a2[i] + lam*w3[i])
+	}
+	n.layers[2].b[0] -= eta * dOut
+
+	n.layers[1].w.MulVecT(n.d1, n.d2)
+	for i := range n.d1 {
+		n.d1[i] *= 1 - n.a1[i]*n.a1[i]
+	}
+	if lam != 0 {
+		linalg.Scale(1-eta*lam, n.layers[1].w.Data)
+	}
+	n.layers[1].w.AddOuter(-eta, n.d2, n.a1)
+	linalg.Axpy(-eta, n.d2, n.layers[1].b)
+
+	if lam != 0 {
+		linalg.Scale(1-eta*lam, n.layers[0].w.Data)
+	}
+	n.layers[0].w.AddOuterSparse(-eta, n.d1, ex.Features)
+	linalg.Axpy(-eta, n.d1, n.layers[0].b)
+}
+
+func TestLazyDecayMatchesEager(t *testing.T) {
+	ds := genClicks(t, 2000)
+	const epochs = 2
+	for _, tc := range []struct {
+		name         string
+		eta, lambda  float64
+		forceSettles bool
+	}{
+		{name: "default-lambda", eta: 0.1},
+		{name: "mid-epoch-settles", eta: 0.1, lambda: 4, forceSettles: true},
+		{name: "eta-lambda-one", eta: 0.5, lambda: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Input: ds.Dim, H1: 16, H2: 8, Eta0: tc.eta, Lambda: tc.lambda}
+			lazy, err := New(cfg, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, _ := New(cfg, 11)
+			if tc.forceSettles {
+				// Unsettled for a whole epoch, s0 = (1−ηλ)^len(Train) would
+				// underflow to 0.
+				decay := 1 - lazy.cfg.Eta0*lazy.cfg.Lambda
+				if s0 := math.Pow(decay, float64(len(ds.Train))); s0 != 0 {
+					t.Fatalf("an unsettled epoch leaves s0 = %v, want underflow to 0", s0)
+				}
+			}
+			for e := 0; e < epochs; e++ {
+				lazy.TrainEpoch(ds.Train)
+				for _, ex := range ds.Train {
+					eagerStep(ref, ex)
+				}
+			}
+			if lazy.s0 != 1 {
+				t.Fatalf("s0 = %v after TrainEpoch, want 1", lazy.s0)
+			}
+			for li := 0; li < NumLayers; li++ {
+				got, want := lazy.Params(li), ref.Params(li)
+				for i := range want {
+					if math.IsNaN(got[i]) || math.IsInf(got[i], 0) {
+						t.Fatalf("layer %d param %d = %v", li, i, got[i])
+					}
+					if d := math.Abs(got[i] - want[i]); d > 1e-9*math.Abs(want[i]) {
+						t.Fatalf("layer %d param %d: lazy %v, eager %v (rel %.3g)",
+							li, i, got[i], want[i], d/math.Abs(want[i]))
+					}
+				}
+			}
+		})
+	}
+}
+
+func TestTrainEpochLeavesBuffersAsModel(t *testing.T) {
+	ds := genClicks(t, 1000)
+	cfg := Config{Input: ds.Dim, H1: 16, H2: 8, Eta0: 0.1, Lambda: 1e-3}
+	n, err := New(cfg, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.TrainEpoch(ds.Train)
+	bufs := make([][]float64, NumLayers)
+	for i := range bufs {
+		bufs[i] = append([]float64(nil), n.Params(i)...)
+	}
+	m, err := NewOver(cfg, bufs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ex := range ds.Test {
+		if a, b := n.Score(ex.Features), m.Score(ex.Features); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("test example %d: trained net scores %v, net over copied buffers %v", i, a, b)
+		}
+	}
+}
+
+// BenchmarkTrainEpoch times TrainEpoch at the nn-compute-bsp shape: a
+// 10 000-input 64-32 network over 500-example batches with 30 nonzeros per
+// example.
+func BenchmarkTrainEpoch(b *testing.B) {
+	ds, err := data.GenerateClicks(data.ClickSpec{
+		Name: "bench", Dim: 10000, Hidden: 32, Train: 500, Test: 1, NNZ: 30, CTR: 0.25, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	n, err := New(Config{Input: 10000, H1: 64, H2: 32, Eta0: 0.1}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.TrainEpoch(ds.Train)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ds.Train)), "ns/example")
+}
