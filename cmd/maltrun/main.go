@@ -55,7 +55,6 @@ func main() {
 		batchWait = flag.Duration("batchDelay", 0, "flush a destination's batch after this long (0 = default)")
 		gatherW   = flag.Int("gatherWorkers", 0, "parallel gather engine workers (0 = serial, -1 = default pool size; svm only)")
 		foldChunk = flag.Int("foldChunk", 0, "coordinate-chunk size for parallel folds (0 = default)")
-		bucketB   = flag.Int("bucketBytes", 0, "split gradient scatters into buckets of this many payload bytes so communication overlaps compute (0 = off; requires -sparse=false; svm only)")
 		transport = flag.String("transport", "inproc", "interconnect: inproc (simulated fabric), tcp (one process per rank over real sockets) or uds (one process per rank over Unix domain sockets; svm only)")
 		listen    = flag.String("listen", "", "this rank's host:port (tcp) or socket path (uds)")
 		peersStr  = flag.String("peers", "", "comma-separated host:port (tcp) or socket-path (uds) list for every rank; this rank = position of -listen in the list")
@@ -165,13 +164,6 @@ func main() {
 		fmt.Printf("parallel gather: workers=%d foldChunk=%d (0 = default)\n", *gatherW, *foldChunk)
 	}
 
-	if *bucketB > 0 {
-		if *sparse {
-			log.Fatal("maltrun: -bucketBytes requires the dense wire format; add -sparse=false (sparse scatters are already deltas and are not bucketed)")
-		}
-		fmt.Printf("gradient bucketing: bucketBytes=%d (comm/compute overlap)\n", *bucketB)
-	}
-
 	if compOpts.Enabled() {
 		fmt.Printf("gradient compression: codec=%s ratio=%g adapt=%v\n", compOpts.Codec, compOpts.Ratio, compOpts.Adapt)
 	}
@@ -186,7 +178,6 @@ func main() {
 		Pipeline:      pipe,
 		GatherWorkers: *gatherW,
 		FoldChunk:     *foldChunk,
-		BucketBytes:   *bucketB,
 		Compress:      compOpts,
 	}
 	if tspec.external() {
@@ -257,13 +248,6 @@ func main() {
 			float64(pre)/(1<<20), float64(post)/(1<<20), reduction, planMs,
 			float64(agg.Count(trace.ResidualNorm))/1e6,
 			float64(agg.Count(trace.RatioPerLink))/1e3)
-	}
-	if *bucketB > 0 {
-		fmt.Printf("overlap: %d buckets sent, %.3fs comm hidden behind compute, %.3fs exposed (%.0f%% overlapped)\n",
-			agg.Count(trace.BucketsSent),
-			float64(agg.Count(trace.OverlappedNs))/1e9,
-			float64(agg.Count(trace.ExposedCommNs))/1e9,
-			100*agg.OverlappedFrac())
 	}
 
 	if script != nil {

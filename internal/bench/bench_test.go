@@ -57,7 +57,7 @@ func TestRegistry(t *testing.T) {
 	ids := IDs()
 	want := []string{"ablation-interleave", "ablation-queue", "allreduce", "compression",
 		"elastic", "fig10", "fig11", "fig12", "fig13", "fig14", "fig4", "fig5", "fig6",
-		"fig7", "fig8", "fig9", "gather", "overlap", "pipeline", "saturation",
+		"fig7", "fig8", "fig9", "gather", "pipeline", "saturation",
 		"table2", "table3"}
 	if len(ids) != len(want) {
 		t.Fatalf("IDs = %v", ids)
@@ -317,15 +317,6 @@ var quickExact = map[string]map[string]float64{
 		"decode_fanout_frac":   1,
 		"failed_fold_mismatch": 0,
 		"lost_updates_gather":  0,
-	},
-	// 4 ranks × 2 rounds × 16 buckets.
-	"overlap": {
-		"buckets_sent_exact":       4 * 2 * 16,
-		"failed_fold_mismatch":     0,
-		"failed_overlap_monotonic": 0,
-		"lost_buckets":             0,
-		"lost_updates_overlap":     0,
-		"dup_buckets":              0,
 	},
 	// Count-only flushing at batch 16 saves 15 writes in 16.
 	"pipeline": {

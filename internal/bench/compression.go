@@ -53,14 +53,14 @@ func runCompressOne(base SVMOpts, copts compress.Options, tr *svm.Trainer, eval 
 // training bitwise deterministic, so each codec's total wire bytes are a
 // closed form of its frame layout; the run also requires >=4x wire
 // reduction and <1% accuracy loss versus the uncompressed arm. A
-// determinism leg re-runs the hybrid arm across bucket sizes and gather
-// worker counts and compares final models bitwise: global planning means
-// fragmenting a frame must not change a single ULP. A chaos leg blacks out
-// one rank mid-training with the adaptive controller on and checks that
-// the per-link ratio tightened below the base ratio (the max-merged
-// ratio_per_link counter rose) and that the run still converged within 2
-// points of accuracy of the blackout-free adaptive run. TestExperimentsQuick
-// asserts every _exact and failed_* counter.
+// determinism leg re-runs the hybrid arm across gather worker counts and
+// compares final models bitwise: a parallel fold must not change a single
+// ULP. A chaos leg blacks out one rank mid-training with the adaptive
+// controller on and checks that the per-link ratio tightened below the
+// base ratio (the max-merged ratio_per_link counter rose) and that the run
+// still converged within 2 points of accuracy of the blackout-free
+// adaptive run. TestExperimentsQuick asserts every _exact and failed_*
+// counter.
 func runCompression(o Options, r *Report) error {
 	ds, err := data.GenerateClassification(data.ClassificationSpec{
 		// 2,000 test examples keep the accuracy estimate's noise well under
@@ -128,8 +128,7 @@ func runCompression(o Options, r *Report) error {
 	r.Metric("failed_convergence_above_1pct", accLoss)
 
 	// Determinism leg: the hybrid arm's final model must be bitwise
-	// identical at every bucket size and gather worker count — the frames
-	// for a fragmented scatter are slices of the same whole-update plan.
+	// identical at every gather worker count.
 	det := base
 	det.Epochs = 8
 	if o.Quick {
@@ -140,11 +139,10 @@ func runCompression(o Options, r *Report) error {
 		return err
 	}
 	mismatch := 0
-	for _, cfg := range []struct{ bb, workers int }{{0, 4}, {8 * 100, 0}, {8 * 7, 3}, {8 * 400, 2}} {
-		o.logf("compression: determinism leg bucketBytes=%d gatherWorkers=%d", cfg.bb, cfg.workers)
+	for _, workers := range []int{4, 3, 2} {
+		o.logf("compression: determinism leg gatherWorkers=%d", workers)
 		dopts := det
-		dopts.BucketBytes = cfg.bb
-		dopts.GatherWorkers = cfg.workers
+		dopts.GatherWorkers = workers
 		got, err := runCompressOne(dopts, arms[3].opts, tr, ds.Test)
 		if err != nil {
 			return err

@@ -53,7 +53,6 @@ var experiments = []Experiment{
 	{"fig8", "Per-phase time, distributed SVM on RCV1 (BSP, gradavg, cb=5000, ranks=20), all vs Halton", runFig8},
 	{"fig9", "Webspam async: Halton grad/model-avg vs parameter server grad/model-avg (compute vs wait, ranks=20)", runFig9},
 	{"gather", "parallel gather ablation: modeled gather/fold cost, serial vs pooled (8-sender fan-in)", runGather},
-	{"overlap", "comm/compute overlap: modeled exposed comm time vs gradient bucket count (8-rank all-to-all)", runOverlap},
 	{"pipeline", "send coalescing ablation: modeled scatter cost, sync vs batched (all-to-all)", runPipeline},
 	{"saturation", "Network saturation: back-to-back scatter throughput (webspam-sized model)", runSaturation},
 	{"table2", "MALT applications and dataset properties (synthetic scaled equivalents)", runTable2},

@@ -113,10 +113,6 @@ type SVMOpts struct {
 	// FoldChunk is the coordinate-chunk size for parallel folds
 	// (0 = vol.DefaultFoldChunk).
 	FoldChunk int
-	// BucketBytes splits gradient scatters into byte-capped buckets pushed
-	// as soon as they are produced (comm/compute overlap; see
-	// core.Config.BucketBytes). 0 disables bucketing.
-	BucketBytes int
 	// Compress enables lossy gradient compression with per-link
 	// error-feedback residuals on every dense vector (see
 	// core.Config.Compress). Dense-only: incompatible with Sparse.
@@ -272,7 +268,6 @@ func RunSVM(opts SVMOpts) (*RunStats, error) {
 		Pipeline:       opts.Pipeline,
 		GatherWorkers:  opts.GatherWorkers,
 		FoldChunk:      opts.FoldChunk,
-		BucketBytes:    opts.BucketBytes,
 		Compress:       opts.Compress,
 	})
 	if err != nil {
@@ -377,21 +372,16 @@ func RunSVM(opts SVMOpts) (*RunStats, error) {
 				switch {
 				case opts.Mode == GradAvg && !modelRound:
 					// Local per-example SGD over the batch; the scattered
-					// "gradient" is the accumulated model delta, produced
-					// bucket by bucket so each bucket is on the wire while
-					// the next one is still being written (a plain
-					// compute-then-Scatter when bucketing is off).
+					// "gradient" is the accumulated model delta.
 					ctx.Compute(func() {
 						copy(before, w)
 						tr.TrainEpoch(w, batch)
-					})
-					err := ctx.ScatterBucketed(v, func(lo, hi int) {
 						delta := v.Data()
-						for i := lo; i < hi; i++ {
+						for i := range delta {
 							delta[i] = w[i] - before[i]
 						}
 					})
-					if err != nil {
+					if err := ctx.Scatter(v); err != nil {
 						return err
 					}
 					if err := ctx.Advance(v); err != nil {

@@ -7,7 +7,7 @@ import (
 )
 
 // Frame wire format. Every compressed payload — a whole update or one
-// gradient bucket's coordinate range — is one frame:
+// coordinate range of it — is one frame:
 //
 //	[0]   magic 0xC6
 //	[1]   codec ID
@@ -15,8 +15,8 @@ import (
 //	[6:]  codec body (below)
 //
 // Codec bodies (coordinate indices are absolute; a frame for [lo, lo+count)
-// is decoded knowing lo from the enclosing bucket header, or lo = 0 for a
-// whole-vector frame):
+// is decoded knowing lo from the caller, or lo = 0 for a whole-vector
+// frame):
 //
 //	none:   count float64s, little-endian.
 //	topk:   uint32 k, then k × (uint32 idx, float64 val), idx strictly
@@ -29,7 +29,7 @@ import (
 //	        astronomically large blocks pass through losslessly).
 //	topk+int8 (hybrid): uint32 k, uint32 firstPos (the global selection
 //	        position of the first pair — group boundaries are global, so a
-//	        bucket's frame must say where in the selection it starts),
+//	        range frame must say where in the selection it starts),
 //	        then k pairs in 64-pair groups: at each group boundary a
 //	        uint8 mode (+ int8 exponent when quantized), then per pair a
 //	        uint32 idx and either an int8 q or a raw float64.

@@ -11,10 +11,9 @@
 //   - A Codec registry (none, topk, int8, hybrid). A codec Plans a whole
 //     residual-corrected update once — fixing the exact reconstruction the
 //     receivers will decode — and then EncodeRange slices any coordinate
-//     range of that plan into a self-describing frame. Global planning is
-//     what keeps compressed gradient bucketing bitwise identical to the
-//     unbucketed path: the union of the per-bucket frames is exactly the
-//     whole-vector frame's content, for any bucket size.
+//     range of that plan into a self-describing frame. Global planning
+//     makes the union of the frames of any partition exactly the
+//     whole-vector frame's content.
 //
 //   - A per-destination State (one residual vector per link; links whose
 //     histories agree share it, so an all-to-all scatter plans once). Every

@@ -92,9 +92,7 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // TestRangeSplitEquivalence: the union of per-range frames decodes to the
-// same coordinates as the whole-vector frame, for any partition — the
-// invariant that makes compressed gradient bucketing bitwise identical to
-// unbucketed scatter.
+// same coordinates as the whole-vector frame, for any partition.
 func TestRangeSplitEquivalence(t *testing.T) {
 	splits := [][]int{{1}, {7}, {64}, {100}, {256}, {255, 256, 257}, {300}}
 	for name, data := range testVectors() {

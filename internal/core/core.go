@@ -57,13 +57,8 @@ type Config struct {
 	// FoldChunk is the coordinate-chunk size for parallel folds (vectors
 	// created via Context inherit it; 0 = vol.DefaultFoldChunk).
 	FoldChunk int
-	// BucketBytes, when positive, splits Dense vector scatters into
-	// byte-capped gradient buckets (vectors created via Context inherit it;
-	// see vol.Options.BucketBytes). Combined with Pipeline, bucket i is on
-	// the wire while the trainer computes bucket i+1
-	// (Context.ScatterBucketed) — the DDP-style comm/compute overlap.
-	// Receivers reassemble buckets into whole updates before folding, so
-	// results stay bitwise identical to the unbucketed path.
+	// BucketBytes is ignored; kept so benchmark/ compiles until ROADMAP
+	// item 12.
 	BucketBytes int
 	// Compress selects gradient compression with per-destination
 	// error-feedback residuals for Dense vectors created via Context
@@ -307,7 +302,6 @@ func (c *Cluster) runRank(r int, fn func(ctx *Context) error) RankResult {
 		ctx.timer.AddCount(trace.DecodeTasks, gp.DecodeTasks)
 		ctx.timer.AddCount(trace.ChunksFolded, gp.ChunksFolded)
 		ctx.timer.AddCount(trace.ScratchHits, gp.ScratchHits)
-		ctx.timer.AddCount(trace.BucketsSent, v.BucketPerf().FragmentsSent)
 		if v.Compressed() {
 			cp := v.CompressPerf()
 			ctx.timer.AddCount(trace.BytesPrecompress, cp.BytesPre)
@@ -439,9 +433,6 @@ func (ctx *Context) CreateVectorOpts(name string, typ vol.Type, dim int, opts vo
 	if opts.FoldChunk == 0 {
 		opts.FoldChunk = ctx.cluster.cfg.FoldChunk
 	}
-	if opts.BucketBytes == 0 && typ == vol.Dense {
-		opts.BucketBytes = ctx.cluster.cfg.BucketBytes
-	}
 	if !opts.Compress.Enabled() && typ == vol.Dense {
 		opts.Compress = ctx.cluster.cfg.Compress
 	}
@@ -500,69 +491,12 @@ func (ctx *Context) Scatter(v *vol.Vector) error {
 	})
 }
 
-// ScatterBucketed runs one overlapped produce+push pass over v: for each
-// gradient bucket it calls compute(lo, hi) — the trainer fills
-// v.Data()[lo:hi] — and immediately pushes that bucket, so with the send
-// pipeline enabled bucket b travels while compute produces bucket b+1.
-// Compute time during which the pipeline still held in-flight work is
-// recorded as trace.OverlappedNs (communication hidden behind compute); the
-// residue that must be waited out at the next Advance shows up as
-// trace.ExposedCommNs. On an unbucketed vector this degenerates to one
-// compute(0, Dim) followed by a plain Scatter, making the overlap an
-// ablation knob rather than a code fork in the trainer.
+// ScatterBucketed charges compute(0, Dim) to the compute phase — the
+// trainer fills v.Data() — then scatters v. Kept so benchmark/ compiles
+// until ROADMAP item 12; trainers call Compute and Scatter directly.
 func (ctx *Context) ScatterBucketed(v *vol.Vector, compute func(lo, hi int)) error {
-	n := v.Buckets()
-	if v.Compressed() {
-		// Error-feedback planning is whole-update (the residual-corrected
-		// top-k selection needs every coordinate), so per-bucket
-		// interleaving is impossible: run compute over every bucket range
-		// first — still charged to the compute phase, with overlap credit
-		// while the pipeline drains earlier work — then push the planned
-		// frames in one scatter (fragmented on the wire when bucketed).
-		for b := 0; b < n; b++ {
-			lo, hi := v.BucketRange(b)
-			ctx.computeBucket(compute, lo, hi)
-		}
-		return ctx.Scatter(v)
-	}
-	for b := 0; b < n; b++ {
-		lo, hi := v.BucketRange(b)
-		ctx.computeBucket(compute, lo, hi)
-		err := ctx.timer.TimeErr(trace.Scatter, func() error {
-			var failed []int
-			var serr error
-			if v.Bucketed() {
-				failed, serr = v.ScatterBucket(b, nil, ctx.iter)
-			} else {
-				failed, serr = v.Scatter(ctx.iter)
-			}
-			if serr != nil {
-				return serr
-			}
-			ctx.reportFailures(failed)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// computeBucket runs compute over one bucket range, charging the compute
-// phase and crediting overlap while the send pipeline holds in-flight work.
-func (ctx *Context) computeBucket(compute func(lo, hi int), lo, hi int) {
-	if compute == nil {
-		return
-	}
-	outstanding := ctx.node.PipelineOutstanding()
-	start := time.Now()
-	compute(lo, hi)
-	d := time.Since(start)
-	ctx.timer.Add(trace.Compute, d)
-	if outstanding {
-		ctx.timer.AddCount(trace.OverlappedNs, uint64(d))
-	}
+	ctx.Compute(func() { compute(0, v.Dim()) })
+	return ctx.Scatter(v)
 }
 
 // Gather folds arrived updates into v with udf under the cluster's
@@ -598,18 +532,15 @@ func (ctx *Context) GatherLatest(v *vol.Vector, udf vol.UDF) (vol.GatherStats, e
 // result so no rank scatters the next round into a peer that has not yet
 // consumed this one — the classic two-barrier superstep.
 func (ctx *Context) Advance(v *vol.Vector) error {
-	// Exposed-communication accounting: whatever the send pipeline still
-	// holds at this iteration edge must now be waited out on the critical
-	// path. BSP/SSP drain inside ctrl.Advance anyway — draining here first
-	// just splits the wait into its comm and barrier parts. ASP never
-	// drains (its communication bleeds into the next compute), so nothing
-	// is charged.
+	// Whatever the send pipeline still holds at this iteration edge must
+	// now be waited out on the critical path. BSP/SSP drain inside
+	// ctrl.Advance anyway — draining here first splits the wait into its
+	// scatter and barrier parts. ASP never drains (its communication bleeds
+	// into the next compute), so nothing is charged.
 	if ctx.cluster.cfg.Sync != consistency.ASP && ctx.node.PipelineOutstanding() {
 		start := time.Now()
 		_ = ctx.node.Drain()
-		exposed := time.Since(start)
-		ctx.timer.Add(trace.Scatter, exposed)
-		ctx.timer.AddCount(trace.ExposedCommNs, uint64(exposed))
+		ctx.timer.Add(trace.Scatter, time.Since(start))
 	}
 	waited, err := ctx.ctrl.Advance(v, ctx.iter)
 	switch ctx.cluster.cfg.Sync {

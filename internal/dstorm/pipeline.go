@@ -449,11 +449,10 @@ func (n *Node) Drain() error {
 
 // PipelineOutstanding reports whether the pipeline currently holds work —
 // buffered records or batches handed to workers but not yet delivered.
-// Overlap accounting polls this at compute boundaries: "outstanding while
-// computing" is communication hidden behind compute, "outstanding at the
-// drain" is exposed. Always false when the pipeline is disabled (every
-// write completed synchronously). Racy by nature — a deposit may complete
-// between the two checks — which is fine for accounting.
+// core's Advance polls this at the iteration edge to charge the drain that
+// follows to the scatter phase. Always false when the pipeline is disabled
+// (every write completed synchronously). Racy by nature — a deposit may
+// complete between the two checks — which is fine for accounting.
 func (n *Node) PipelineOutstanding() bool {
 	n.pipeMu.Lock()
 	p := n.pipe

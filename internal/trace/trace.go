@@ -75,16 +75,6 @@ const (
 	ChunksFolded
 	// ScratchHits is gather decode buffers reused without allocation.
 	ScratchHits
-	// BucketsSent is gradient-bucket fragments scattered (comm/compute
-	// overlap; zero when bucketing is off).
-	BucketsSent
-	// ExposedCommNs is nanoseconds of communication left on the critical
-	// path: time spent waiting at iteration edges (drains, barriers) while
-	// the send pipeline still held undelivered work.
-	ExposedCommNs
-	// OverlappedNs is nanoseconds of compute during which the send pipeline
-	// held in-flight work — communication hidden behind compute.
-	OverlappedNs
 	// BytesPrecompress is the raw bytes compressed scatters would have
 	// shipped uncompressed (8·dim per destination per update).
 	BytesPrecompress
@@ -121,12 +111,6 @@ func (c Counter) String() string {
 		return "chunks_folded"
 	case ScratchHits:
 		return "scratch_hits"
-	case BucketsSent:
-		return "buckets_sent"
-	case ExposedCommNs:
-		return "exposed_comm_ns"
-	case OverlappedNs:
-		return "overlapped_ns"
 	case BytesPrecompress:
 		return "bytes_precompress"
 	case BytesPostcompress:
@@ -144,7 +128,7 @@ func (c Counter) String() string {
 
 // Counters lists all counters in display order.
 func Counters() []Counter {
-	return []Counter{WritesSaved, BytesMerged, QueuePeak, DecodeTasks, ChunksFolded, ScratchHits, BucketsSent, ExposedCommNs, OverlappedNs, BytesPrecompress, BytesPostcompress, CompressPlanNs, ResidualNorm, RatioPerLink}
+	return []Counter{WritesSaved, BytesMerged, QueuePeak, DecodeTasks, ChunksFolded, ScratchHits, BytesPrecompress, BytesPostcompress, CompressPlanNs, ResidualNorm, RatioPerLink}
 }
 
 // Timer accumulates time per phase and event counts per counter.
@@ -209,19 +193,6 @@ func (t *Timer) MaxCount(c Counter, n uint64) {
 
 // Count returns the accumulated events for a counter.
 func (t *Timer) Count(c Counter) uint64 { return t.counts[c] }
-
-// OverlappedFrac returns the fraction of all communication time that was
-// hidden behind compute: overlapped / (overlapped + exposed). It is 0 when
-// no communication was accounted (fully synchronous runs) and approaches 1
-// as bucketing hides the wire time behind the trainer.
-func (t *Timer) OverlappedFrac() float64 {
-	ov := float64(t.counts[OverlappedNs])
-	ex := float64(t.counts[ExposedCommNs])
-	if ov+ex == 0 {
-		return 0
-	}
-	return ov / (ov + ex)
-}
 
 // Merge adds another timer's totals into t (aggregating ranks). Peak-style
 // counters (QueuePeak, RatioPerLink) take the max instead of summing.

@@ -1,7 +1,6 @@
 package vol
 
 import (
-	"encoding/binary"
 	"math"
 
 	"malt/internal/compress"
@@ -18,13 +17,6 @@ import (
 // A link leaves its group when it diverges (an adaptive ratio, a subset
 // scatter, an eviction); dstorm's Segment copies each payload into its own
 // buffers synchronously, so one encode buffer serves every group.
-//
-// Composed with bucketing, each fragment is an ordinary bucket header whose
-// body is the frame for that bucket's coordinate range, sliced from the one
-// whole-update plan. Global planning is what keeps the reassembled update —
-// and the fold — bitwise identical at any bucket size: the union of the
-// per-bucket frames decodes to exactly the whole-vector frame's
-// reconstruction.
 
 // compState bundles a vector's compression state with the optional
 // adaptive per-link ratio controller.
@@ -115,13 +107,11 @@ func (v *Vector) dropCompressPeer(rank int) {
 
 // scatterCompressed pushes the local value to peers (nil = the dataflow
 // send list) as codec frames — one plan and one encode per group of
-// destinations that share a residual and a ratio — fragmented per bucket
-// when the vector is bucketed.
+// destinations that share a residual and a ratio.
 func (v *Vector) scatterCompressed(peers []int, iter uint64) ([]int, error) {
 	if peers == nil {
 		peers = v.seg.SendPeers()
 	}
-	v.scatterID++
 	c := v.comp
 	c.ratios = c.ratios[:0]
 	for _, peer := range peers {
@@ -130,33 +120,32 @@ func (v *Vector) scatterCompressed(peers []int, iter uint64) ([]int, error) {
 	var failed []int
 	for _, g := range c.st.Groups(peers, c.ratios) {
 		c.st.BeginGroup(g, v.data)
-		if v.bucket == nil {
-			frame := c.st.EncodeRange(v.encBuf[:0], 0, v.dim)
-			f, err := v.seg.ScatterTo(g.Peers, frame, iter)
-			if err != nil {
-				return failed, err
-			}
-			failed = mergeFailed(failed, f)
-			continue
+		frame := c.st.EncodeRange(v.encBuf[:0], 0, v.dim)
+		f, err := v.seg.ScatterTo(g.Peers, frame, iter)
+		if err != nil {
+			return failed, err
 		}
-		for b := 0; b < v.bucket.buckets; b++ {
-			lo, hi := v.bucket.bucketRange(v.dim, b)
-			buf := v.encBuf[:bucketHeaderSize]
-			binary.LittleEndian.PutUint64(buf[0:8], v.scatterID)
-			binary.LittleEndian.PutUint32(buf[8:12], uint32(lo))
-			binary.LittleEndian.PutUint32(buf[12:16], uint32(hi-lo))
-			binary.LittleEndian.PutUint32(buf[16:20], uint32(v.bucket.buckets))
-			payload := c.st.EncodeRange(buf, lo, hi)
-			v.bucket.perf.FragmentsSent += uint64(len(g.Peers))
-			f, err := v.seg.ScatterTo(g.Peers, payload, iter)
-			if err != nil {
-				return failed, err
-			}
-			failed = mergeFailed(failed, f)
-		}
+		failed = mergeFailed(failed, f)
 	}
 	if c.ctl != nil {
 		c.ctl.Tick(peers)
 	}
 	return failed, nil
+}
+
+// mergeFailed unions per-group failed-peer lists without duplicates.
+func mergeFailed(acc, more []int) []int {
+	for _, p := range more {
+		dup := false
+		for _, q := range acc {
+			if q == p {
+				dup = true
+				break
+			}
+		}
+		if !dup {
+			acc = append(acc, p)
+		}
+	}
+	return acc
 }

@@ -107,13 +107,13 @@ func TestCompressedLossyReducesBytes(t *testing.T) {
 }
 
 // TestCompressedBucketedBitwiseInvariance: for a fixed ratio, the folded
-// result is bitwise identical across bucket sizes (including unbucketed)
-// and gather worker counts — the acceptance-criteria determinism property.
+// result is bitwise identical at every gather worker count — the
+// acceptance-criteria determinism property.
 func TestCompressedBucketedBitwiseInvariance(t *testing.T) {
 	const ranks, dim = 3, 300
 	copts := compress.Options{Codec: "hybrid", Ratio: 0.25}
-	run := func(bucketBytes, workers int) [][]float64 {
-		vecs := newVectors(t, ranks, dim, Dense, Options{BucketBytes: bucketBytes, Compress: copts})
+	run := func(workers int) [][]float64 {
+		vecs := newVectors(t, ranks, dim, Dense, Options{Compress: copts})
 		if workers > 0 {
 			for _, v := range vecs {
 				v.Segment().Node().EnableParallelGather(workers)
@@ -128,14 +128,14 @@ func TestCompressedBucketedBitwiseInvariance(t *testing.T) {
 		}
 		return out
 	}
-	want := run(0, 0)
-	for _, cfg := range []struct{ bb, workers int }{{0, 4}, {8 * 50, 0}, {8 * 50, 3}, {8 * 7, 0}, {8 * 300, 2}} {
-		got := run(cfg.bb, cfg.workers)
+	want := run(0)
+	for _, workers := range []int{2, 3, 4} {
+		got := run(workers)
 		for r := range want {
 			for i := range want[r] {
 				if math.Float64bits(got[r][i]) != math.Float64bits(want[r][i]) {
-					t.Fatalf("bucketBytes=%d workers=%d rank %d coord %d: %v != %v",
-						cfg.bb, cfg.workers, r, i, got[r][i], want[r][i])
+					t.Fatalf("workers=%d rank %d coord %d: %v != %v",
+						workers, r, i, got[r][i], want[r][i])
 				}
 			}
 		}
@@ -233,27 +233,6 @@ func TestCompressRejectsBadOptions(t *testing.T) {
 		if _, err := Create(node, string(rune('a'+i)), Dense, 8, g, Options{Compress: c}); err == nil {
 			t.Errorf("Create accepted %+v", c)
 		}
-	}
-}
-
-// TestCompressedScatterBucketRejected: the manual per-bucket overlap API is
-// incompatible with whole-update planning.
-func TestCompressedScatterBucketRejected(t *testing.T) {
-	vecs := newVectors(t, 2, 64, Dense, Options{BucketBytes: 64, Compress: compress.Options{Codec: "topk"}})
-	if _, err := vecs[0].ScatterBucket(0, nil, 1); err == nil {
-		t.Fatal("ScatterBucket on a compressed vector should fail")
-	}
-	// ScatterBucketed still works: compute-all then fragmented scatter.
-	if _, err := vecs[0].ScatterBucketed(1, func(lo, hi int) {
-		d := vecs[0].Data()
-		for i := lo; i < hi; i++ {
-			d[i] = float64(i)
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := vecs[1].Gather(Sum); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -53,23 +53,15 @@ type Options struct {
 	// fold.go); 0 means DefaultFoldChunk. Only consulted when the owning
 	// node's parallel-gather pool is enabled.
 	FoldChunk int
-	// BucketBytes, when positive, splits every scatter of a Dense vector
-	// into byte-capped coordinate-range fragments (gradient bucketing, see
-	// bucket.go): fragment i is on the wire while the trainer produces
-	// fragment i+1, and receivers reassemble fragments into whole logical
-	// updates before folding, so results are bitwise identical to the
-	// unbucketed path. The receive-ring depth (QueueLen) is per logical
-	// update — it is scaled by the fragment count internally. Rejected for
-	// Sparse vectors (sparse scatters are already deltas).
+	// BucketBytes is ignored; kept so benchmark/ compiles until ROADMAP
+	// item 12. Every scatter is one whole update.
 	BucketBytes int
 	// Compress selects gradient compression with per-destination
 	// error-feedback residuals (see compress.go and internal/compress).
 	// Scatters ship codec frames instead of raw floats — per destination,
 	// because each link's residual differs — and receivers decode before
-	// reassembly/fold. Composes with BucketBytes (fragments carry frame
-	// slices of one globally planned update, so folds stay bitwise
-	// identical to unbucketed at any bucket size). Rejected for Sparse
-	// vectors. The zero value disables compression.
+	// the fold. Rejected for Sparse vectors. The zero value disables
+	// compression.
 	Compress compress.Options
 	// SkipCreationBarrier forwards to
 	// dstorm.SegmentOptions.SkipCreationBarrier: register without the
@@ -165,22 +157,9 @@ type Vector struct {
 	foldBuf   []float64       // dim-length fold accumulator, split per chunk
 	perf      GatherPerf
 
-	// Bucketing state (nil unless Options.BucketBytes > 0; see bucket.go).
-	bucket    *bucketState
-	scatterID uint64       // logical scatter counter stamped into fragments
-	fragTasks []fragTask   // per-gather planned fragment decodes
-	readyAsm  []readyUpd   // per-gather completed assemblies, in fold order
-	doneAsm   []*bucketAsm // assemblies to recycle after the fold
-
 	// Compression state (nil unless Options.Compress names a codec; see
 	// compress.go).
 	comp *compState
-}
-
-// readyUpd is one completed logical update awaiting the fold.
-type readyUpd struct {
-	from int
-	a    *bucketAsm
 }
 
 // Create collectively creates a Vector named name over the node's cluster.
@@ -203,21 +182,6 @@ func Create(node *dstorm.Node, name string, typ Type, dim int, graph *dataflow.G
 	default:
 		return nil, fmt.Errorf("vol: unknown vector type %d", typ)
 	}
-	var bs *bucketState
-	queueLen := opts.QueueLen
-	if opts.BucketBytes > 0 {
-		if typ != Dense {
-			return nil, errors.New("vol: BucketBytes requires a Dense vector (sparse scatters are already deltas)")
-		}
-		bs = newBucketState(dim, opts.BucketBytes)
-		objSize = bucketHeaderSize + 8*bs.coords
-		// The dstorm ring is per fragment; multiply the caller's (logical)
-		// depth so the ring still holds the same number of whole updates.
-		if queueLen == 0 {
-			queueLen = dstorm.DefaultQueueLen
-		}
-		queueLen *= bs.buckets
-	}
 	var comp *compState
 	if opts.Compress.Enabled() {
 		if typ != Dense {
@@ -237,16 +201,11 @@ func Create(node *dstorm.Node, name string, typ Type, dim int, graph *dataflow.G
 		}
 		// Ring slots hold frames, not raw floats; size for the codec's
 		// worst case (a frame can exceed 8·dim at ratio 1).
-		if bs != nil {
-			bs.compressed = true
-			objSize = bucketHeaderSize + st.MaxFrameBytes(bs.coords)
-		} else {
-			objSize = st.MaxFrameBytes(dim)
-		}
+		objSize = st.MaxFrameBytes(dim)
 	}
 	seg, err := node.CreateSegment("vol/"+name, dstorm.SegmentOptions{
 		ObjectSize:          objSize,
-		QueueLen:            queueLen,
+		QueueLen:            opts.QueueLen,
 		Graph:               graph,
 		ChunkSize:           opts.ChunkSize,
 		SkipCreationBarrier: opts.SkipCreationBarrier,
@@ -263,7 +222,6 @@ func Create(node *dstorm.Node, name string, typ Type, dim int, graph *dataflow.G
 		data:      make([]float64, dim),
 		foldChunk: opts.FoldChunk,
 		encBuf:    make([]byte, objSize),
-		bucket:    bs,
 		comp:      comp,
 	}, nil
 }
@@ -298,15 +256,10 @@ func (v *Vector) Segment() *dstorm.Segment { return v.seg }
 func (v *Vector) SetIteration(iter uint64) { v.seg.SetIteration(iter) }
 
 // Scatter serializes the local value and pushes it to all dataflow peers,
-// returning the peers whose writes failed. On a bucketed vector the value
-// goes out as Buckets() fragments back to back; with the send pipeline
-// enabled the fragments drain in the background while the trainer moves on.
+// returning the peers whose writes failed.
 func (v *Vector) Scatter(iter uint64) ([]int, error) {
 	if v.comp != nil {
 		return v.scatterCompressed(nil, iter)
-	}
-	if v.bucket != nil {
-		return v.scatterBuckets(nil, iter)
 	}
 	payload, err := v.encode(v.data)
 	if err != nil {
@@ -321,9 +274,6 @@ func (v *Vector) Scatter(iter uint64) ([]int, error) {
 func (v *Vector) ScatterTo(peers []int, iter uint64) ([]int, error) {
 	if v.comp != nil {
 		return v.scatterCompressed(peers, iter)
-	}
-	if v.bucket != nil {
-		return v.scatterBuckets(peers, iter)
 	}
 	payload, err := v.encode(v.data)
 	if err != nil {
@@ -346,135 +296,9 @@ func (v *Vector) ScatterSparse(update *linalg.SparseVector, iter uint64) ([]int,
 	return v.seg.Scatter(payload, iter)
 }
 
-// Bucketed reports whether scatters are split into byte-capped fragments.
-func (v *Vector) Bucketed() bool { return v.bucket != nil }
-
-// Buckets returns the number of fragments per logical update (1 when the
-// vector is not bucketed).
-func (v *Vector) Buckets() int {
-	if v.bucket == nil {
-		return 1
-	}
-	return v.bucket.buckets
-}
-
-// BucketRange returns the coordinate range [lo, hi) of bucket b.
-func (v *Vector) BucketRange(b int) (lo, hi int) {
-	if v.bucket == nil {
-		return 0, v.dim
-	}
-	return v.bucket.bucketRange(v.dim, b)
-}
-
-// ScatterBucket encodes and pushes bucket b of the current local value to
-// the given peers (nil = the full send list). Buckets of one logical update
-// must go out in order, 0 first: bucket 0 stamps a fresh scatter ID that
-// the later buckets share, and receivers rely on per-sender FIFO delivery
-// for reassembly. Callers composing their own overlap loop (compute bucket
-// b+1 while bucket b is in flight) use this; everyone else calls Scatter or
-// ScatterBucketed.
-func (v *Vector) ScatterBucket(b int, peers []int, iter uint64) ([]int, error) {
-	if v.bucket == nil {
-		return nil, errors.New("vol: ScatterBucket requires a bucketed vector (Options.BucketBytes)")
-	}
-	if v.comp != nil {
-		return nil, errors.New("vol: ScatterBucket is unavailable on a compressed vector (error-feedback planning is whole-update); use Scatter or ScatterBucketed")
-	}
-	if b < 0 || b >= v.bucket.buckets {
-		return nil, fmt.Errorf("vol: bucket %d out of range [0,%d)", b, v.bucket.buckets)
-	}
-	if b == 0 {
-		v.scatterID++
-	}
-	lo, hi := v.bucket.bucketRange(v.dim, b)
-	payload := encodeFragment(v.encBuf, v.scatterID, lo, v.data[lo:hi], v.bucket.buckets)
-	v.bucket.perf.FragmentsSent++
-	if peers == nil {
-		return v.seg.Scatter(payload, iter)
-	}
-	//maltlint:allow bufretain -- exclusive branch with the Scatter above (the return separates them), and Segment encodes payload into its own buffer synchronously before enqueue
-	return v.seg.ScatterTo(peers, payload, iter)
-}
-
-// ScatterBucketed interleaves gradient production with communication: for
-// each bucket it first invokes compute over that bucket's coordinate range
-// (the trainer fills v.Data()[lo:hi]) and then pushes the fragment, so
-// bucket b is on the wire — drained by the send pipeline's workers — while
-// compute produces bucket b+1. The classic DDP overlap. On an unbucketed
-// vector it degenerates to compute(0, Dim) followed by a whole Scatter.
-func (v *Vector) ScatterBucketed(iter uint64, compute func(lo, hi int)) ([]int, error) {
-	if v.bucket == nil || v.comp != nil {
-		// A compressed update is planned whole (the residual-corrected
-		// top-k selection needs every coordinate), so per-bucket
-		// compute/send interleaving is impossible: run compute to
-		// completion, then scatter — still fragmented on the wire when
-		// bucketed, so the send pipeline drains frames in the background.
-		if compute != nil {
-			if v.bucket == nil {
-				compute(0, v.dim)
-			} else {
-				for b := 0; b < v.bucket.buckets; b++ {
-					lo, hi := v.bucket.bucketRange(v.dim, b)
-					compute(lo, hi)
-				}
-			}
-		}
-		return v.Scatter(iter)
-	}
-	var failed []int
-	for b := 0; b < v.bucket.buckets; b++ {
-		lo, hi := v.bucket.bucketRange(v.dim, b)
-		if compute != nil {
-			compute(lo, hi)
-		}
-		f, err := v.ScatterBucket(b, nil, iter)
-		if err != nil {
-			return failed, err
-		}
-		failed = mergeFailed(failed, f)
-	}
-	return failed, nil
-}
-
-// scatterBuckets pushes the whole local value as fragments (Scatter and
-// ScatterTo on a bucketed vector).
-func (v *Vector) scatterBuckets(peers []int, iter uint64) ([]int, error) {
-	var failed []int
-	for b := 0; b < v.bucket.buckets; b++ {
-		f, err := v.ScatterBucket(b, peers, iter)
-		if err != nil {
-			return failed, err
-		}
-		failed = mergeFailed(failed, f)
-	}
-	return failed, nil
-}
-
-// mergeFailed unions per-fragment failed-peer lists without duplicates.
-func mergeFailed(acc, more []int) []int {
-	for _, p := range more {
-		dup := false
-		for _, q := range acc {
-			if q == p {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			acc = append(acc, p)
-		}
-	}
-	return acc
-}
-
-// BucketPerf returns the bucketing engine's cumulative counters (zero value
-// when the vector is not bucketed).
-func (v *Vector) BucketPerf() BucketPerf {
-	if v.bucket == nil {
-		return BucketPerf{}
-	}
-	return v.bucket.perf
-}
+// Buckets returns 1: every scatter is one whole update. Kept so
+// benchmark/ compiles until ROADMAP item 12.
+func (v *Vector) Buckets() int { return 1 }
 
 // Gather folds all newly arrived peer updates into the local value with the
 // given UDF (atomic snapshots; never torn).
@@ -514,9 +338,6 @@ func (v *Vector) GatherWeak(udf UDF) (GatherStats, error) {
 // behaviour (update order, error choice, stats) identical to the serial
 // path at any worker count.
 func (v *Vector) gather(udf UDF, mode dstorm.GatherMode, weak bool) (GatherStats, error) {
-	if v.bucket != nil {
-		return v.gatherBucketed(udf, mode, weak)
-	}
 	var (
 		ups []dstorm.Update
 		err error
@@ -590,140 +411,6 @@ func (v *Vector) gather(udf UDF, mode dstorm.GatherMode, weak bool) (GatherStats
 	if udf != nil {
 		v.fold(udf, pool)
 	}
-	if weak {
-		for _, u := range ups {
-			if u.Torn {
-				stats.Torn++
-			}
-		}
-	}
-	return stats, nil
-}
-
-// gatherBucketed is the receive half for bucketed vectors: fragments are
-// routed to per-sender assemblies, decoded (fanned across the gather pool —
-// fragment ranges are disjoint, so decodes into one assembly are
-// independent), and only *complete* logical updates are folded, in the same
-// (sender rank, scatter) order the serial path would use — so the fold
-// input multiset and order, and therefore the float result bit for bit,
-// match the unbucketed path. Incomplete assemblies persist across gathers
-// until their fragments arrive or a newer scatter evicts them; they are
-// never folded partially.
-func (v *Vector) gatherBucketed(udf UDF, mode dstorm.GatherMode, weak bool) (GatherStats, error) {
-	// Always drain everything at the dstorm layer: one logical update spans
-	// many ring slots, so a dstorm-level GatherLatest would keep one
-	// *fragment* per sender, not one update. Latest semantics are applied
-	// after reassembly instead.
-	var (
-		ups []dstorm.Update
-		err error
-	)
-	if weak {
-		ups, err = v.seg.GatherWeak(dstorm.GatherAllNew)
-	} else {
-		ups, err = v.seg.Gather(dstorm.GatherAllNew)
-	}
-	if err != nil {
-		return GatherStats{}, err
-	}
-	stats := GatherStats{}
-	v.updateBuf = v.updateBuf[:0]
-	v.fragTasks = v.fragTasks[:0]
-	v.readyAsm = v.readyAsm[:0]
-
-	// Stage 1 (serial): route fragments to assemblies in arrival order
-	// (sender rank asc, then sequence asc — the dstorm drain order). The
-	// GatherIf filter runs per fragment; all fragments of one update carry
-	// the same sender and iteration stamp, so the accept decision is
-	// consistent across an update. A completion is recorded the moment a
-	// sender's last fragment lands, which keeps completions grouped by
-	// sender and ascending in scatter ID — the serial fold order.
-	for _, u := range ups {
-		if v.accept != nil && !v.accept(u.From, u.Iter) {
-			continue
-		}
-		h, herr := v.bucket.decodeFragHeader(v.dim, u.Data)
-		if herr != nil {
-			if weak && u.Torn {
-				continue // torn fragments may be undecodable; counted below
-			}
-			return stats, herr
-		}
-		if t := v.bucket.planFragment(v.dim, u.From, u.Iter, h, u.Data); t != nil {
-			if v.comp != nil {
-				// Compressed fragments decode here in stage 1, not on the
-				// pool: the frame decoder can fail (torn or corrupt
-				// frames) and only this serial stage has error handling.
-				dst := t.asm.data[t.h.lo : t.h.lo+t.h.count]
-				if derr := compress.Decode(dst, t.h.lo, t.payload[bucketHeaderSize:]); derr != nil {
-					// Roll the deposit back so a retried fragment can
-					// still land in this assembly.
-					t.asm.seen[t.h.lo/v.bucket.coords] = false
-					t.asm.got--
-					if weak && u.Torn {
-						continue
-					}
-					return stats, derr
-				}
-			} else {
-				v.fragTasks = append(v.fragTasks, *t)
-			}
-			if a := v.bucket.completeAsm(u.From); a != nil {
-				v.readyAsm = append(v.readyAsm, readyUpd{from: u.From, a: a})
-			}
-		}
-	}
-
-	ready := v.readyAsm
-	if mode == dstorm.GatherLatest {
-		// Freshest complete update per sender. readyAsm is sender-grouped
-		// with ascending scatter IDs, so the last entry of each group wins;
-		// superseded assemblies skip the fold and are recycled below.
-		kept := ready[:0]
-		for i, r := range ready {
-			if i+1 < len(ready) && ready[i+1].from == r.from {
-				v.doneAsm = append(v.doneAsm, r.a)
-				continue
-			}
-			kept = append(kept, r)
-		}
-		ready = kept
-	}
-
-	// Stage 2: decode fragments into their assemblies.
-	pool := v.seg.Node().GatherPool()
-	if pool != nil && len(v.fragTasks) > 1 {
-		g := pool.NewGroup()
-		for i := range v.fragTasks {
-			t := &v.fragTasks[i]
-			g.Go(func() { decodeFragInto(t.asm.data, t.h, t.payload) })
-			v.perf.DecodeTasks++
-		}
-		g.Wait()
-	} else {
-		for i := range v.fragTasks {
-			t := &v.fragTasks[i]
-			decodeFragInto(t.asm.data, t.h, t.payload)
-		}
-	}
-
-	// Stage 3: fold the complete updates.
-	for _, r := range ready {
-		v.noteUpdate(&stats, dstorm.Update{From: r.from, Iter: r.a.iter})
-		v.updateBuf = append(v.updateBuf, Update{From: r.from, Iter: r.a.iter, Data: r.a.data})
-		v.doneAsm = append(v.doneAsm, r.a)
-	}
-	if udf != nil {
-		v.fold(udf, pool)
-	}
-	for _, a := range v.doneAsm {
-		v.bucket.releaseAsm(a)
-	}
-	v.doneAsm = v.doneAsm[:0]
-	for _, a := range v.bucket.retired {
-		v.bucket.releaseAsm(a)
-	}
-	v.bucket.retired = v.bucket.retired[:0]
 	if weak {
 		for _, u := range ups {
 			if u.Torn {

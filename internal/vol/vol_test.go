@@ -1,6 +1,7 @@
 package vol
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -475,5 +476,159 @@ func TestVectorSegStats(t *testing.T) {
 	st := vecs[1].SegStats()
 	if st.Consumed != 2 || st.Overwritten != 3 {
 		t.Fatalf("SegStats = %+v", st)
+	}
+}
+
+// fillReciprocal writes a deterministic per-(rank, round) gradient.
+// Reciprocals give full mantissas, so a single out-of-order addition
+// anywhere shows up in a bitwise comparison.
+func fillReciprocal(d []float64, rank, round int) {
+	for i := range d {
+		d[i] = 1 / float64(i+31*rank+7*round)
+	}
+}
+
+// runAllToAll runs rounds of lockstep all-to-all scatter/Average gather
+// over a fresh cluster and returns every rank's final local value.
+// workers > 0 enables the parallel gather engine on every node.
+func runAllToAll(t *testing.T, ranks, dim, rounds int, opts Options, workers int) [][]float64 {
+	t.Helper()
+	vecs := newVectors(t, ranks, dim, Dense, opts)
+	defer func() {
+		for _, v := range vecs {
+			if err := v.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		}
+	}()
+	if workers > 0 {
+		for _, v := range vecs {
+			v.Segment().Node().EnableParallelGather(workers)
+			defer v.Segment().Node().DisableParallelGather()
+		}
+	}
+	for round := 1; round <= rounds; round++ {
+		for r, v := range vecs {
+			fillReciprocal(v.Data(), r, round)
+			if failed, err := v.Scatter(uint64(round)); err != nil || len(failed) != 0 {
+				t.Fatalf("rank %d round %d scatter: failed=%v err=%v", r, round, failed, err)
+			}
+		}
+		for r, v := range vecs {
+			st, err := v.Gather(Average)
+			if err != nil {
+				t.Fatalf("rank %d round %d gather: %v", r, round, err)
+			}
+			if st.Updates != ranks-1 {
+				t.Fatalf("rank %d round %d folded %d updates, want %d", r, round, st.Updates, ranks-1)
+			}
+		}
+	}
+	out := make([][]float64, ranks)
+	for r, v := range vecs {
+		if v.Buckets() != 1 {
+			t.Fatalf("rank %d Buckets() = %d, want 1", r, v.Buckets())
+		}
+		out[r] = append([]float64(nil), v.Data()...)
+	}
+	return out
+}
+
+// TestBucketDeterminismSweep pins the Options.BucketBytes compatibility
+// shim: a non-zero value is accepted and ignored, so at every (bucketBytes,
+// gather workers) point the folded model is bitwise equal to the plain
+// serial path.
+func TestBucketDeterminismSweep(t *testing.T) {
+	const (
+		ranks  = 4
+		dim    = 129
+		rounds = 3
+	)
+	ref := runAllToAll(t, ranks, dim, rounds, Options{QueueLen: 2}, 0)
+	for _, bucketBytes := range []int{8, 64, 256, 1024, 8 * dim} {
+		for _, workers := range []int{0, 2, 8} {
+			t.Run(fmt.Sprintf("bucketBytes=%d/workers=%d", bucketBytes, workers), func(t *testing.T) {
+				got := runAllToAll(t, ranks, dim, rounds, Options{QueueLen: 2, BucketBytes: bucketBytes}, workers)
+				for r := range ref {
+					for i := range ref[r] {
+						if math.Float64bits(ref[r][i]) != math.Float64bits(got[r][i]) {
+							t.Fatalf("rank %d coord %d: %x != reference %x",
+								r, i, math.Float64bits(got[r][i]), math.Float64bits(ref[r][i]))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestBarrierDrainsPipeline runs the BSP contract under the send pipeline
+// with flush thresholds set so high that only the barrier's drain can
+// deliver the enqueued updates: after Barrier, every peer's gather must fold
+// every sender's update, every round. All ranks run concurrently, so -race
+// covers the pipeline handoff.
+func TestBarrierDrainsPipeline(t *testing.T) {
+	const (
+		ranks  = 3
+		dim    = 257
+		rounds = 5
+	)
+	vecs := newVectors(t, ranks, dim, Dense, Options{QueueLen: 2})
+	for _, v := range vecs {
+		v.Segment().Node().EnablePipeline(dstorm.PipelineConfig{
+			MaxBatchCount: 1 << 20,
+			MaxBatchBytes: 1 << 30,
+			MaxDelay:      time.Minute,
+		})
+	}
+	defer func() {
+		for _, v := range vecs {
+			v.Segment().Node().DisablePipeline()
+			if err := v.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	errs := make([]error, ranks)
+	for r := range vecs {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			v := vecs[r]
+			for round := 1; round <= rounds; round++ {
+				fillReciprocal(v.Data(), r, round)
+				if _, err := v.Scatter(uint64(round)); err != nil {
+					errs[r] = fmt.Errorf("round %d scatter: %w", round, err)
+					return
+				}
+				if err := v.Barrier(); err != nil {
+					errs[r] = fmt.Errorf("round %d barrier: %w", round, err)
+					return
+				}
+				st, err := v.Gather(Average)
+				if err != nil {
+					errs[r] = fmt.Errorf("round %d gather: %w", round, err)
+					return
+				}
+				if st.Updates != ranks-1 {
+					errs[r] = fmt.Errorf("round %d: folded %d updates after barrier, want %d (undrained pipeline)",
+						round, st.Updates, ranks-1)
+					return
+				}
+				// Second barrier so no rank scatters round+1 into a peer
+				// that has not yet gathered this round.
+				if err := v.Barrier(); err != nil {
+					errs[r] = fmt.Errorf("round %d commit barrier: %w", round, err)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	for r, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", r, err)
+		}
 	}
 }
