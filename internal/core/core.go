@@ -596,10 +596,6 @@ func (ctx *Context) WatchFaults(interval time.Duration) (stop func()) {
 	return ctx.monitor.Watch(interval)
 }
 
-// ReportFailures feeds explicitly observed write failures (e.g. from
-// pipelined sends) into the fault monitor.
-func (ctx *Context) ReportFailures(peers []int) { ctx.reportFailures(peers) }
-
 func (ctx *Context) reportFailures(peers []int) {
 	if len(peers) == 0 {
 		// Pipelined sends surface failures out of band; poll them here so

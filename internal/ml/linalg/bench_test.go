@@ -75,19 +75,3 @@ func BenchmarkAverageInto(b *testing.B) {
 		AverageInto(dst, vecs...)
 	}
 }
-
-func BenchmarkMatrixMulVecSparse(b *testing.B) {
-	m := NewMatrix(64, 10000) // SSI first layer
-	for i := range m.Data {
-		m.Data[i] = 0.01
-	}
-	sv := &SparseVector{}
-	for i := int32(0); i < 10000; i += 333 { // ~30 nnz
-		sv.Append(i, 0.5)
-	}
-	dst := make([]float64, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.MulVecSparse(dst, sv)
-	}
-}

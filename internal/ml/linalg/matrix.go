@@ -78,38 +78,3 @@ func (m *Matrix) AddOuter(alpha float64, u, v []float64) {
 		Axpy(alpha*u[r], v, m.Row(r))
 	}
 }
-
-// MulVecSparse computes dst = M·x where x is sparse over the column space.
-func (m *Matrix) MulVecSparse(dst []float64, x *SparseVector) {
-	if len(dst) != m.Rows {
-		panic(fmt.Sprintf("linalg: MulVecSparse dst %d != rows %d", len(dst), m.Rows))
-	}
-	Zero(dst)
-	cols := int32(m.Cols)
-	for i, idx := range x.Idx {
-		if idx >= cols {
-			continue
-		}
-		v := x.Val[i]
-		for r := 0; r < m.Rows; r++ {
-			dst[r] += v * m.Data[r*m.Cols+int(idx)]
-		}
-	}
-}
-
-// AddOuterSparse accumulates M += alpha · u·xᵀ with sparse x over columns.
-func (m *Matrix) AddOuterSparse(alpha float64, u []float64, x *SparseVector) {
-	if len(u) != m.Rows {
-		panic(fmt.Sprintf("linalg: AddOuterSparse u %d != rows %d", len(u), m.Rows))
-	}
-	cols := int32(m.Cols)
-	for i, idx := range x.Idx {
-		if idx >= cols {
-			continue
-		}
-		v := alpha * x.Val[i]
-		for r := 0; r < m.Rows; r++ {
-			m.Data[r*m.Cols+int(idx)] += v * u[r]
-		}
-	}
-}

@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
@@ -67,67 +63,6 @@ func TestAddOuter(t *testing.T) {
 		if !almostEq(m.Data[i], w) {
 			t.Fatalf("AddOuter = %v, want %v", m.Data, want)
 		}
-	}
-}
-
-func TestMulVecSparseMatchesDense(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rows, cols := 1+r.Intn(8), 1+r.Intn(16)
-		m := NewMatrix(rows, cols)
-		for i := range m.Data {
-			m.Data[i] = r.NormFloat64()
-		}
-		xd := make([]float64, cols)
-		for i := range xd {
-			if r.Float64() < 0.4 {
-				xd[i] = r.NormFloat64()
-			}
-		}
-		xs := FromDense(xd)
-		a := make([]float64, rows)
-		b := make([]float64, rows)
-		m.MulVec(a, xd)
-		m.MulVecSparse(b, xs)
-		for i := range a {
-			if !almostEq(a[i], b[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAddOuterSparseMatchesDense(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rows, cols := 1+r.Intn(6), 1+r.Intn(10)
-		m1 := NewMatrix(rows, cols)
-		m2 := NewMatrix(rows, cols)
-		u := make([]float64, rows)
-		xd := make([]float64, cols)
-		for i := range u {
-			u[i] = r.NormFloat64()
-		}
-		for i := range xd {
-			if r.Float64() < 0.5 {
-				xd[i] = r.NormFloat64()
-			}
-		}
-		m1.AddOuter(1.5, u, xd)
-		m2.AddOuterSparse(1.5, u, FromDense(xd))
-		for i := range m1.Data {
-			if !almostEq(m1.Data[i], m2.Data[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -8,7 +8,8 @@
 // buffer so that, as the paper requires, "each layer of parameters is
 // represented using a separate maltGradient" — a distributed replica
 // passes MALT vector storage to NewOver and every scatter ships a whole
-// layer with no marshalling.
+// layer with no marshalling. The input layer's weights are stored
+// feature-major (Input×H1, see Net); the other layers' are out×in.
 package nn
 
 import (
@@ -71,7 +72,9 @@ func (c Config) withDefaults() (Config, error) {
 const NumLayers = 3
 
 // LayerSizes returns the flat buffer length of each layer for the given
-// (defaulted) shape: weights out×in plus out biases.
+// (defaulted) shape: out·in weights plus out biases. Layer 0 holds its
+// weights as an Input×H1 matrix and layers 1 and 2 as out×in; the lengths
+// do not depend on that.
 func LayerSizes(cfg Config) ([]int, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -84,7 +87,8 @@ func LayerSizes(cfg Config) ([]int, error) {
 	}, nil
 }
 
-// layer views one flat buffer as weights + biases.
+// layer views one flat buffer as weights + biases. w is out×in, except in
+// layer 0, where it is in×out.
 type layer struct {
 	in, out int
 	w       *linalg.Matrix
@@ -92,16 +96,27 @@ type layer struct {
 	buf     []float64
 }
 
-func newLayer(in, out int, buf []float64) layer {
+func newLayer(in, out int, buf []float64, featureMajor bool) layer {
+	rows, cols := out, in
+	if featureMajor {
+		rows, cols = in, out
+	}
 	return layer{
 		in: in, out: out,
-		w:   linalg.WrapMatrix(out, in, buf[:out*in]),
+		w:   linalg.WrapMatrix(rows, cols, buf[:out*in]),
 		b:   buf[out*in:],
 		buf: buf,
 	}
 }
 
 // Net is one replica's network. Not safe for concurrent use.
+//
+// The input layer's weights are stored feature-major: W1[r][c] is at
+// buf[c·H1 + r], so the H1 weights that one input feature feeds form one
+// contiguous row. An example touches only its nonzero features, and each
+// then costs one sequential H1-long pass in the forward and backward
+// passes, instead of H1 reads strided Input elements apart. Averaging is
+// elementwise, so the layout is invisible to MALT.
 //
 // Inside TrainEpoch the input layer's weights are held lazily: the true W1
 // is s0·buf, so a step's L2 decay multiplies the scalar s0 instead of all
@@ -158,9 +173,9 @@ func NewOver(cfg Config, bufs [][]float64) (*Net, error) {
 		}
 	}
 	n := &Net{cfg: cfg, s0: 1}
-	n.layers[0] = newLayer(cfg.Input, cfg.H1, bufs[0])
-	n.layers[1] = newLayer(cfg.H1, cfg.H2, bufs[1])
-	n.layers[2] = newLayer(cfg.H2, 1, bufs[2])
+	n.layers[0] = newLayer(cfg.Input, cfg.H1, bufs[0], true)
+	n.layers[1] = newLayer(cfg.H1, cfg.H2, bufs[1], false)
+	n.layers[2] = newLayer(cfg.H2, 1, bufs[2], false)
 	n.z1 = make([]float64, cfg.H1)
 	n.a1 = make([]float64, cfg.H1)
 	n.d1 = make([]float64, cfg.H1)
@@ -171,14 +186,23 @@ func NewOver(cfg Config, bufs [][]float64) (*Net, error) {
 }
 
 // Init fills the parameters with scaled Xavier-style noise, deterministic
-// in the seed.
+// in the seed. Every layer's weights are drawn in out×in order, so a seed
+// gives the same model whatever the storage layout.
 func (n *Net) Init(seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	for li := range n.layers {
 		l := &n.layers[li]
 		scale := 1 / math.Sqrt(float64(l.in))
-		for i := range l.w.Data {
-			l.w.Data[i] = rng.NormFloat64() * scale
+		if li == 0 {
+			for r := 0; r < l.out; r++ {
+				for c := 0; c < l.in; c++ {
+					l.w.Set(c, r, rng.NormFloat64()*scale)
+				}
+			}
+		} else {
+			for i := range l.w.Data {
+				l.w.Data[i] = rng.NormFloat64() * scale
+			}
 		}
 		linalg.Zero(l.b)
 	}
@@ -195,7 +219,17 @@ func (n *Net) Params(i int) []float64 { return n.layers[i].buf }
 
 // Score runs the forward pass and returns the raw output score.
 func (n *Net) Score(x *linalg.SparseVector) float64 {
-	n.layers[0].w.MulVecSparse(n.z1, x)
+	w1, z1 := n.layers[0].w, n.z1
+	linalg.Zero(z1)
+	for i, idx := range x.Idx {
+		if int(idx) >= w1.Rows {
+			continue
+		}
+		v, row := x.Val[i], w1.Row(int(idx))[:len(z1)]
+		for r := range z1 {
+			z1[r] += v * row[r]
+		}
+	}
 	linalg.Scale(n.s0, n.z1)
 	linalg.Axpy(1, n.layers[0].b, n.z1)
 	for i, z := range n.z1 {
@@ -264,23 +298,40 @@ func (n *Net) step(ex data.Example) {
 	n.layers[1].w.AddOuter(-eta, n.d2, n.a1)
 	linalg.Axpy(-eta, n.d2, n.layers[1].b)
 
-	// Hidden layer 1: W1 (H1×Input), sparse input outer product. The decay
-	// goes into s0, and the update is divided by the decayed s0 so that
-	// s0·buf gains −η·d1·xᵀ. A factor ≤ 0 cannot be held in s0, so that
-	// step settles and decays every weight eagerly.
-	w1, decay := n.layers[0].w, 1-eta*lam
+	// Hidden layer 1: W1, sparse input outer product. The decay goes into
+	// s0, and the update is divided by the decayed s0 so that s0·buf gains
+	// −η·d1·xᵀ. A factor ≤ 0 cannot be held in s0, so that step settles and
+	// decays every weight eagerly.
+	decay := 1 - eta*lam
 	if decay <= 0 {
 		n.settle()
-		linalg.Scale(decay, w1.Data)
-		w1.AddOuterSparse(-eta, n.d1, ex.Features)
+		linalg.Scale(decay, n.layers[0].w.Data)
+		n.addInputOuter(-eta, ex.Features)
 	} else {
 		if s := n.s0 * decay; s < minScale || s > maxScale {
 			n.settle()
 		}
 		n.s0 *= decay
-		w1.AddOuterSparse(-eta/n.s0, n.d1, ex.Features)
+		n.addInputOuter(-eta/n.s0, ex.Features)
 	}
 	linalg.Axpy(-eta, n.d1, n.layers[0].b)
+}
+
+// addInputOuter adds alpha·d1·xᵀ to the input layer's stored weights: for
+// each feature of x, one pass over its row. It is an explicit loop, not
+// linalg.Axpy, because Axpy skips a zero factor and 0·Inf must still reach
+// the weights.
+func (n *Net) addInputOuter(alpha float64, x *linalg.SparseVector) {
+	w1, d1 := n.layers[0].w, n.d1
+	for i, idx := range x.Idx {
+		if int(idx) >= w1.Rows {
+			continue
+		}
+		v, row := alpha*x.Val[i], w1.Row(int(idx))[:len(d1)]
+		for r, d := range d1 {
+			row[r] += v * d
+		}
+	}
 }
 
 // TrainEpoch runs one SGD step over every example, in order. When it

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"malt/internal/data"
@@ -241,7 +242,7 @@ func eagerStep(n *Net, ex data.Example) {
 	if lam != 0 {
 		linalg.Scale(1-eta*lam, n.layers[0].w.Data)
 	}
-	n.layers[0].w.AddOuterSparse(-eta, n.d1, ex.Features)
+	n.addInputOuter(-eta, ex.Features)
 	linalg.Axpy(-eta, n.d1, n.layers[0].b)
 }
 
@@ -291,6 +292,167 @@ func TestLazyDecayMatchesEager(t *testing.T) {
 						t.Fatalf("layer %d param %d: lazy %v, eager %v (rel %.3g)",
 							li, i, got[i], want[i], d/math.Abs(want[i]))
 					}
+				}
+			}
+		})
+	}
+}
+
+// newRowMajorRef builds a Net whose input layer is viewed H1×Input
+// row-major, the layout before layer 0 became feature-major. The ref*
+// functions below are Init, Score and step as they were for that layout;
+// settle is layout-independent and shared.
+func newRowMajorRef(t *testing.T, cfg Config, seed int64) *Net {
+	t.Helper()
+	n, err := New(cfg, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.layers[0] = newLayer(n.cfg.Input, n.cfg.H1, n.layers[0].buf, false)
+	rng := rand.New(rand.NewSource(seed))
+	for li := range n.layers {
+		l := &n.layers[li]
+		scale := 1 / math.Sqrt(float64(l.in))
+		for i := range l.w.Data {
+			l.w.Data[i] = rng.NormFloat64() * scale
+		}
+		linalg.Zero(l.b)
+	}
+	return n
+}
+
+func refScore(n *Net, x *linalg.SparseVector) float64 {
+	m := n.layers[0].w
+	linalg.Zero(n.z1)
+	for i, idx := range x.Idx {
+		if idx >= int32(m.Cols) {
+			continue
+		}
+		v := x.Val[i]
+		for r := 0; r < m.Rows; r++ {
+			n.z1[r] += v * m.Data[r*m.Cols+int(idx)]
+		}
+	}
+	linalg.Scale(n.s0, n.z1)
+	linalg.Axpy(1, n.layers[0].b, n.z1)
+	for i, z := range n.z1 {
+		n.a1[i] = math.Tanh(z)
+	}
+	n.layers[1].w.MulVec(n.z2, n.a1)
+	linalg.Axpy(1, n.layers[1].b, n.z2)
+	for i, z := range n.z2 {
+		n.a2[i] = math.Tanh(z)
+	}
+	return linalg.Dot(n.layers[2].w.Row(0), n.a2) + n.layers[2].b[0]
+}
+
+func refAddOuterSparse(m *linalg.Matrix, alpha float64, u []float64, x *linalg.SparseVector) {
+	for i, idx := range x.Idx {
+		if idx >= int32(m.Cols) {
+			continue
+		}
+		v := alpha * x.Val[i]
+		for r := 0; r < m.Rows; r++ {
+			m.Data[r*m.Cols+int(idx)] += v * u[r]
+		}
+	}
+}
+
+func refStep(n *Net, ex data.Example) {
+	eta := n.cfg.Schedule.Rate(n.t)
+	n.t++
+	out := refScore(n, ex.Features)
+	dOut := n.cfg.Loss.Deriv(out, ex.Label)
+	if dOut == 0 {
+		return
+	}
+	lam := n.cfg.Lambda
+
+	w3 := n.layers[2].w.Row(0)
+	for i := range n.d2 {
+		n.d2[i] = dOut * w3[i] * (1 - n.a2[i]*n.a2[i])
+	}
+	for i := range w3 {
+		w3[i] -= eta * (dOut*n.a2[i] + lam*w3[i])
+	}
+	n.layers[2].b[0] -= eta * dOut
+
+	n.layers[1].w.MulVecT(n.d1, n.d2)
+	for i := range n.d1 {
+		n.d1[i] *= 1 - n.a1[i]*n.a1[i]
+	}
+	if lam != 0 {
+		linalg.Scale(1-eta*lam, n.layers[1].w.Data)
+	}
+	n.layers[1].w.AddOuter(-eta, n.d2, n.a1)
+	linalg.Axpy(-eta, n.d2, n.layers[1].b)
+
+	w1, decay := n.layers[0].w, 1-eta*lam
+	if decay <= 0 {
+		n.settle()
+		linalg.Scale(decay, w1.Data)
+		refAddOuterSparse(w1, -eta, n.d1, ex.Features)
+	} else {
+		if s := n.s0 * decay; s < minScale || s > maxScale {
+			n.settle()
+		}
+		n.s0 *= decay
+		refAddOuterSparse(w1, -eta/n.s0, n.d1, ex.Features)
+	}
+	linalg.Axpy(-eta, n.d1, n.layers[0].b)
+}
+
+// TestFeatureMajorMatchesRowMajor checks that storing layer 0 feature-major
+// changed only where its weights live: after training, every W1 entry is
+// bit-equal to the row-major reference's transposed entry, every other
+// parameter is bit-equal, and so is every score.
+func TestFeatureMajorMatchesRowMajor(t *testing.T) {
+	ds := genClicks(t, 2000)
+	const epochs = 2
+	for _, tc := range []struct {
+		name        string
+		eta, lambda float64
+	}{
+		{name: "default-lambda", eta: 0.1},
+		{name: "eta-lambda-0.4", eta: 0.1, lambda: 4},
+		{name: "eta-lambda-one", eta: 0.5, lambda: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{Input: ds.Dim, H1: 16, H2: 8, Eta0: tc.eta, Lambda: tc.lambda}
+			got, err := New(cfg, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRowMajorRef(t, cfg, 11)
+			for e := 0; e < epochs; e++ {
+				got.TrainEpoch(ds.Train)
+				for _, ex := range ds.Train {
+					refStep(ref, ex)
+				}
+				ref.settle()
+			}
+			gw, rw := got.layers[0].w, ref.layers[0].w
+			for r := 0; r < cfg.H1; r++ {
+				for c := 0; c < cfg.Input; c++ {
+					if g, w := gw.At(c, r), rw.At(r, c); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("W1[%d][%d] = %v, row-major %v", r, c, g, w)
+					}
+				}
+			}
+			for li := 0; li < NumLayers; li++ {
+				g, w := got.Params(li), ref.Params(li)
+				if li == 0 {
+					g, w = got.layers[0].b, ref.layers[0].b
+				}
+				for i := range w {
+					if math.Float64bits(g[i]) != math.Float64bits(w[i]) {
+						t.Fatalf("layer %d param %d = %v, row-major %v", li, i, g[i], w[i])
+					}
+				}
+			}
+			for i, ex := range ds.Test {
+				if g, w := got.Score(ex.Features), refScore(ref, ex.Features); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("test example %d: Score %v, row-major %v", i, g, w)
 				}
 			}
 		})

@@ -38,10 +38,6 @@ type Chunk struct {
 	// Updates are the full incoming peer updates (same slice for every
 	// chunk of one fold); UDFs index their Data with absolute coordinates.
 	Updates []Update
-	// Acc is optional scratch of length Hi-Lo, disjoint per chunk. Nil when
-	// the caller has none to offer; UDFs needing accumulation then allocate.
-	// Contents on entry are garbage — zero before use.
-	Acc []float64
 }
 
 // ChunkUDF folds the incoming updates into Local restricted to the chunk's
@@ -102,37 +98,48 @@ func Average(f Fold) {
 	AverageChunk(Chunk{Self: f.Self, Lo: 0, Hi: len(f.Local), Local: f.Local, Updates: f.Updates})
 }
 
-// AverageChunk is the chunk form of Average.
+// AverageChunk is the chunk form of Average. Each coordinate's sum starts
+// at +0 (which is what turns a lone −0 into +0) and gains scale·x from
+// every contribution in fold order. The sums are built a block at a time in
+// a stack buffer that stays in L1, so each contribution is read once and
+// local written once. The block sums with linalg.Axpy, which adds the new
+// term to the running sum as (scale·x) + sum: when two NaNs meet, x86
+// keeps the first operand's payload, and that order is part of the
+// bitwise result.
 func AverageChunk(c Chunk) {
 	if len(c.Updates) == 0 {
 		return
 	}
-	acc := c.Acc
-	if acc == nil {
-		acc = make([]float64, c.Hi-c.Lo)
-	} else {
-		linalg.Zero(acc)
-	}
 	scale := 1.0 / float64(len(c.Updates)+1)
 	local := c.Local[c.Lo:c.Hi]
+	// The contributions in fold order, local at Self's position. The array
+	// keeps up to 16 of them off the heap.
+	var buf [16][]float64
+	srcs := buf[:0]
 	localAdded := false
-	addLocal := func() {
-		for i, v := range local {
-			acc[i] += scale * v
-		}
-		localAdded = true
-	}
 	for _, u := range c.Updates {
 		if !localAdded && c.Self < u.From {
-			addLocal()
+			srcs = append(srcs, local)
+			localAdded = true
 		}
-		linalg.Axpy(scale, u.Data[c.Lo:c.Hi], acc)
+		srcs = append(srcs, u.Data[c.Lo:c.Hi])
 	}
 	if !localAdded {
-		addLocal()
+		srcs = append(srcs, local)
 	}
-	copy(local, acc)
+	var block [averageBlock]float64
+	for lo := 0; lo < len(local); lo += averageBlock {
+		acc := block[:min(averageBlock, len(local)-lo)]
+		clear(acc)
+		for _, src := range srcs {
+			linalg.Axpy(scale, src[lo:lo+len(acc)], acc)
+		}
+		copy(local[lo:], acc)
+	}
 }
+
+// averageBlock is AverageChunk's block length: 2 KiB of sums.
+const averageBlock = 256
 
 // AverageIncoming replaces local with the mean of the incoming updates
 // only, leaving local untouched when nothing arrived. Model-averaging

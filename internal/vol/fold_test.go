@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"malt/internal/ml/linalg"
+	"malt/internal/par"
 )
 
 // foldScenario scatters deterministic pseudo-random data from every rank
@@ -184,6 +187,122 @@ func TestGatherScratchSteadyState(t *testing.T) {
 				t.Fatalf("ScratchHits grew by %d over %d rounds, want %d (a miss means a steady-state allocation)",
 					got, rounds, wantHits)
 			}
+		})
+	}
+}
+
+// accumulateAverage is AverageChunk as it was with a separate accumulator:
+// zero acc, add each contribution scaled in fold order, copy acc back. It
+// is the reference the one-pass fold must match bit for bit.
+func accumulateAverage(c Chunk) {
+	if len(c.Updates) == 0 {
+		return
+	}
+	acc := make([]float64, c.Hi-c.Lo)
+	scale := 1.0 / float64(len(c.Updates)+1)
+	local := c.Local[c.Lo:c.Hi]
+	localAdded := false
+	addLocal := func() {
+		for i, v := range local {
+			acc[i] += scale * v
+		}
+		localAdded = true
+	}
+	for _, u := range c.Updates {
+		if !localAdded && c.Self < u.From {
+			addLocal()
+		}
+		linalg.Axpy(scale, u.Data[c.Lo:c.Hi], acc)
+	}
+	if !localAdded {
+		addLocal()
+	}
+	copy(local, acc)
+}
+
+// TestAverageChunkMatchesAccumulate pins the one-pass Average fold to the
+// accumulator version over signed zeros, infinities and NaNs, 1–4 updates,
+// every position of the local value in the fold order, and both the
+// whole-vector form and odd chunk sizes folded through a pool.
+func TestAverageChunkMatchesAccumulate(t *testing.T) {
+	const dim = 1001
+	specials := []float64{math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(3))
+	vec := func() []float64 {
+		x := make([]float64, dim)
+		for i := range x {
+			if rng.Intn(4) == 0 {
+				x[i] = specials[rng.Intn(len(specials))]
+			} else {
+				x[i] = rng.NormFloat64()
+			}
+		}
+		return x
+	}
+	pool := par.New(3, 0)
+	defer pool.Close()
+	for n := 1; n <= 4; n++ {
+		for self := 0; self <= n; self++ {
+			local := vec()
+			var ups []Update
+			for r := 0; r <= n; r++ {
+				if r != self {
+					ups = append(ups, Update{From: r, Iter: 1, Data: vec()})
+				}
+			}
+			want := append([]float64(nil), local...)
+			accumulateAverage(Chunk{Self: self, Lo: 0, Hi: dim, Local: want, Updates: ups})
+			check := func(form string, got []float64) {
+				t.Helper()
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d self=%d %s: coord %d = %v (%x), accumulator %v (%x)",
+							n, self, form, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+					}
+				}
+			}
+			got := append([]float64(nil), local...)
+			Average(Fold{Self: self, Local: got, Updates: ups})
+			check("whole", got)
+			for _, cs := range []int{1, 7, 333} {
+				v := &Vector{rank: self, dim: dim, data: append([]float64(nil), local...), foldChunk: cs, updateBuf: ups}
+				v.fold(Average, pool)
+				check(fmt.Sprintf("chunk=%d", cs), v.data)
+			}
+		}
+	}
+}
+
+// BenchmarkAverageFold times the Average fold per coordinate at the nn
+// input layer's shape (640 064 coordinates, one update: two ranks) and at
+// fan-in 7.
+func BenchmarkAverageFold(b *testing.B) {
+	for _, bc := range []struct {
+		name       string
+		dim, fanIn int
+	}{
+		{"nn-W1", 640064, 1},
+		{"fanin-7", 1 << 16, 7},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			fill := func() []float64 {
+				x := make([]float64, bc.dim)
+				for i := range x {
+					x[i] = rng.NormFloat64()
+				}
+				return x
+			}
+			local := fill()
+			ups := make([]Update, bc.fanIn)
+			for i := range ups {
+				ups[i] = Update{From: i + 1, Iter: 1, Data: fill()}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				Average(Fold{Self: 0, Local: local, Updates: ups})
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*bc.dim), "ns/coord")
 		})
 	}
 }

@@ -154,7 +154,6 @@ type Vector struct {
 	acceptBuf []dstorm.Update // per-gather accept-filtered raw updates
 	scratch   []updScratch    // per-slot decode buffers, reused across gathers
 	errBuf    []error         // per-slot decode outcomes
-	foldBuf   []float64       // dim-length fold accumulator, split per chunk
 	perf      GatherPerf
 
 	// Compression state (nil unless Options.Compress names a codec; see
@@ -450,15 +449,12 @@ func (v *Vector) fold(udf UDF, pool *par.Pool) {
 		udf(Fold{Self: v.rank, Local: v.data, Updates: v.updateBuf})
 		return
 	}
-	if v.foldBuf == nil {
-		v.foldBuf = make([]float64, v.dim)
-	}
 	cs := v.foldChunk
 	if cs <= 0 {
 		cs = DefaultFoldChunk
 	}
 	if pool == nil || v.dim <= cs {
-		chunkFn(Chunk{Self: v.rank, Lo: 0, Hi: v.dim, Local: v.data, Updates: v.updateBuf, Acc: v.foldBuf})
+		chunkFn(Chunk{Self: v.rank, Lo: 0, Hi: v.dim, Local: v.data, Updates: v.updateBuf})
 		v.perf.ChunksFolded++
 		return
 	}
@@ -468,7 +464,7 @@ func (v *Vector) fold(udf UDF, pool *par.Pool) {
 		if hi > v.dim {
 			hi = v.dim
 		}
-		c := Chunk{Self: v.rank, Lo: lo, Hi: hi, Local: v.data, Updates: v.updateBuf, Acc: v.foldBuf[lo:hi]}
+		c := Chunk{Self: v.rank, Lo: lo, Hi: hi, Local: v.data, Updates: v.updateBuf}
 		g.Go(func() { chunkFn(c) })
 		v.perf.ChunksFolded++
 	}
