@@ -49,8 +49,14 @@ const DefaultQueueLen = 4
 // deposit, used when SegmentOptions.ChunkSize is zero.
 const DefaultChunkSize = 4096
 
-// headerSize is seq(8) + iter(8) + len(4) prepended to every update.
-const headerSize = 20
+// HeaderSize is seq(8) + iter(8) + len(4) prepended to every update.
+// ScatterFramed callers keep this much headroom in front of their payload.
+const HeaderSize = 20
+
+// snapshotLead pads the front of every gather snapshot buffer so the
+// payload behind the header starts 8-byte aligned (4+20 = 24): the vector
+// library reads a dense payload in place as float64s instead of copying it.
+const snapshotLead = 4
 
 // SegmentOptions configures a segment at collective creation time.
 type SegmentOptions struct {
@@ -103,7 +109,7 @@ type Update struct {
 	// Iter is the sender's iteration count, carried in the update header
 	// for staleness policies.
 	Iter uint64
-	// Data is the payload.
+	// Data is the payload. Gather snapshots place it 8-byte aligned.
 	Data []byte
 	// Torn reports that the payload was observed mid-write and may mix old
 	// and new bytes. Always false for Gather; possible for GatherWeak.
@@ -145,7 +151,7 @@ type Segment struct {
 	// polling PeerIters.
 	arrived chan struct{}
 
-	encBuf      []byte // scatter encode buffer
+	encBuf      []byte // scatter encode buffer, allocated by the first copying scatter
 	sendScratch []int  // per-scatter snapshot of send, reused across calls
 
 	// Gather-side scratch, reused across gathers to keep the steady state
@@ -250,7 +256,6 @@ func (n *Node) CreateSegment(name string, opts SegmentOptions) (*Segment, error)
 		opts:    opts,
 		graph:   opts.Graph,
 		queues:  make(map[int]*queue),
-		encBuf:  make([]byte, headerSize+opts.ObjectSize),
 		arrived: make(chan struct{}, 1),
 	}
 	s.send = append([]int(nil), opts.Graph.SendPeers(n.rank)...)
@@ -274,7 +279,7 @@ func (n *Node) CreateSegment(name string, opts SegmentOptions) (*Segment, error)
 func newQueue(qlen, objSize int) *queue {
 	q := &queue{slots: make([]slot, qlen)}
 	for i := range q.slots {
-		q.slots[i].data = make([]byte, headerSize+objSize)
+		q.slots[i].data = make([]byte, HeaderSize+objSize)
 	}
 	return q
 }
@@ -305,7 +310,7 @@ func (s *Segment) SetIteration(iter uint64) {
 // handleWrite is the fabric write handler: it runs on the *sender's*
 // goroutine (one-sided) and deposits the update into the sender's queue.
 func (s *Segment) handleWrite(from int, payload []byte) error {
-	if len(payload) < headerSize {
+	if len(payload) < HeaderSize {
 		return fmt.Errorf("dstorm: short write (%d bytes) into segment %q", len(payload), s.name)
 	}
 	s.mu.Lock()
@@ -398,7 +403,7 @@ func (sl *slot) readAtomic(dst []byte) (seq, iter uint64, n int) {
 			continue
 		}
 		seq, iter, n = sl.seq, sl.iter, sl.n
-		copy(dst[:headerSize+n], sl.data[:headerSize+n])
+		copy(dst[:HeaderSize+n], sl.data[:HeaderSize+n])
 		sl.mu.Unlock()
 		return seq, iter, n
 	}
@@ -410,10 +415,10 @@ func (sl *slot) readWeak(dst []byte) (seq, iter uint64, n int, torn bool) {
 	sl.mu.Lock()
 	v0 := sl.version
 	seq, iter, n = sl.seq, sl.iter, sl.n
-	if n > len(dst)-headerSize {
-		n = len(dst) - headerSize
+	if n > len(dst)-HeaderSize {
+		n = len(dst) - HeaderSize
 	}
-	copy(dst[:headerSize+n], sl.data[:headerSize+n])
+	copy(dst[:HeaderSize+n], sl.data[:HeaderSize+n])
 	torn = v0%2 == 1
 	sl.mu.Unlock()
 	return seq, iter, n, torn
@@ -427,32 +432,63 @@ func (sl *slot) peek() (seq, iter uint64) {
 }
 
 // Scatter sends payload to every peer in the current send list, stamping it
-// with the given iteration count. Transient fabric faults (dropped writes,
-// blackout windows) are absorbed by the node's bounded retry policy with
-// exponential backoff and a per-write deadline; only peers whose writes
-// failed permanently (dead, partitioned, re-registered) or kept failing
-// transiently until retries were exhausted appear in the returned failed
-// list, which the caller's fault monitor feeds into the recovery protocol
-// as suspicion evidence. Scatter itself never fails on peer death — that is
-// the point of one-sided, peer-to-peer training.
+// with the given iteration count. The payload is copied behind the update
+// header in a segment buffer; ScatterFramed avoids that copy. Transient
+// fabric faults (dropped writes, blackout windows) are absorbed by the
+// node's bounded retry policy with exponential backoff and a per-write
+// deadline; only peers whose writes failed permanently (dead, partitioned,
+// re-registered) or kept failing transiently until retries were exhausted
+// appear in the returned failed list, which the caller's fault monitor
+// feeds into the recovery protocol as suspicion evidence. Scatter itself
+// never fails on peer death — that is the point of one-sided, peer-to-peer
+// training.
 func (s *Segment) Scatter(payload []byte, iter uint64) (failed []int, err error) {
 	return s.scatter(nil, payload, iter)
 }
 
-// scatter encodes and delivers one update to the given peers (nil = the
-// segment's full send list).
+// ScatterFramed is Scatter for a caller that keeps HeaderSize bytes of
+// headroom in front of its payload: frame[HeaderSize:] is the payload, and
+// frame[:HeaderSize] is overwritten with the update header. The frame goes
+// to the transport as it is, so neither this package nor the caller copies
+// the payload. The caller may overwrite the frame as soon as the call
+// returns: fabric.Transport.Write does not read a payload after it returns,
+// and the coalescing pipeline ships its own copy.
+func (s *Segment) ScatterFramed(frame []byte, iter uint64) (failed []int, err error) {
+	return s.scatterFramed(nil, frame, iter)
+}
+
+// scatter copies payload behind the header in the segment's encode buffer
+// and delivers it to the given peers (nil = the full send list).
 func (s *Segment) scatter(peers []int, payload []byte, iter uint64) (failed []int, err error) {
+	if len(payload) > s.opts.ObjectSize {
+		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, len(payload), s.opts.ObjectSize)
+	}
+	s.mu.Lock()
+	if s.encBuf == nil {
+		s.encBuf = make([]byte, HeaderSize+s.opts.ObjectSize)
+	}
+	frame := s.encBuf[:HeaderSize+len(payload)]
+	copy(frame[HeaderSize:], payload)
+	s.mu.Unlock()
+	return s.scatterFramed(peers, frame, iter)
+}
+
+// scatterFramed stamps the header into frame and delivers it to the given
+// peers (nil = the segment's full send list).
+func (s *Segment) scatterFramed(peers []int, frame []byte, iter uint64) (failed []int, err error) {
+	if len(frame) < HeaderSize {
+		return nil, fmt.Errorf("dstorm: frame of %d bytes has no room for the %d-byte header", len(frame), HeaderSize)
+	}
+	n := len(frame) - HeaderSize
+	if n > s.opts.ObjectSize {
+		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, n, s.opts.ObjectSize)
+	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
-	if len(payload) > s.opts.ObjectSize {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d > %d", ErrTooLarge, len(payload), s.opts.ObjectSize)
-	}
 	s.seq++
-	seq := s.seq
 	it := s.iter
 	if iter != 0 {
 		it = iter
@@ -463,11 +499,9 @@ func (s *Segment) scatter(peers []int, payload []byte, iter uint64) (failed []in
 		s.sendScratch = append(s.sendScratch[:0], s.send...)
 		peers = s.sendScratch
 	}
-	buf := s.encBuf[:headerSize+len(payload)]
-	binary.LittleEndian.PutUint64(buf[0:8], seq)
-	binary.LittleEndian.PutUint64(buf[8:16], it)
-	binary.LittleEndian.PutUint32(buf[16:20], uint32(len(payload)))
-	copy(buf[headerSize:], payload)
+	binary.LittleEndian.PutUint64(frame[0:8], s.seq)
+	binary.LittleEndian.PutUint64(frame[8:16], it)
+	binary.LittleEndian.PutUint32(frame[16:20], uint32(n))
 	s.mu.Unlock()
 
 	// Every per-peer failure — unreachable, partitioned, or a peer that
@@ -475,7 +509,7 @@ func (s *Segment) scatter(peers []int, payload []byte, iter uint64) (failed []in
 	// caller's fault monitor rather than aborting the scatter: peer-to-peer
 	// training must survive peer loss. With the coalescing pipeline enabled
 	// failures are asynchronous and surface via AsyncFailures instead.
-	return s.node.writeMulti(peers, s.key, buf), nil
+	return s.node.writeMulti(peers, s.key, frame), nil
 }
 
 // ScatterTo sends payload only to the given peers, which must be a subset of
@@ -599,7 +633,7 @@ func (s *Segment) drainUpTo(from int, q *queue, newest uint64, mode GatherMode, 
 			bufIdx++
 			return b
 		}
-		b := make([]byte, headerSize+s.opts.ObjectSize)
+		b := make([]byte, snapshotLead+HeaderSize+s.opts.ObjectSize)[snapshotLead:]
 		q.bufs = append(q.bufs, b)
 		bufIdx++
 		return b
@@ -645,7 +679,7 @@ func (s *Segment) drainUpTo(from int, q *queue, newest uint64, mode GatherMode, 
 			From: from,
 			Seq:  gotSeq,
 			Iter: gotIter,
-			Data: buf[headerSize : headerSize+n],
+			Data: buf[HeaderSize : HeaderSize+n],
 			Torn: torn,
 		})
 	}

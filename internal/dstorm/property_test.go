@@ -95,11 +95,11 @@ func TestHeaderEncoding(t *testing.T) {
 		t.Fatalf("header fields wrong: %+v", u)
 	}
 	// Header size constant is load-bearing for the codec.
-	var buf [headerSize]byte
+	var buf [HeaderSize]byte
 	binary.LittleEndian.PutUint64(buf[0:8], 1)
 	binary.LittleEndian.PutUint64(buf[8:16], 77)
 	binary.LittleEndian.PutUint32(buf[16:20], 3)
-	if headerSize != 20 {
-		t.Fatalf("headerSize = %d", headerSize)
+	if HeaderSize != 20 {
+		t.Fatalf("HeaderSize = %d", HeaderSize)
 	}
 }

@@ -13,9 +13,11 @@ import (
 // destination (the fabric only reads it), and the buffer returns to the
 // pool when the last destination's delivery retires it.
 //
-// Recycling after delivery is safe because the stream fabric serializes
-// the payload into its own pooled wire buffer before Write/WriteBatch
-// returns — the fabric never retains a reference to ours.
+// Recycling after delivery is safe because every transport honours the
+// no-retain contract on fabric.Transport.Write/WriteBatch: the payload is
+// not read after the call returns (the stream fabric serializes it into
+// its own pooled wire buffer first, the simulator deposits it before
+// returning). Segment.ScatterFramed relies on the same contract.
 type sendBuf struct {
 	b    []byte
 	refs atomic.Int32

@@ -26,11 +26,15 @@ type Transport interface {
 	Unregister(rank int, key string) error
 
 	// Write performs a one-sided write of payload into the memory
-	// registered as key on rank to, on the caller's goroutine.
+	// registered as key on rank to, on the caller's goroutine. The
+	// payload is not read after Write returns, whatever the outcome: an
+	// implementation that sends later copies it first, so the caller may
+	// overwrite it at once.
 	Write(from, to int, key string, payload []byte) error
 	// WriteBatch performs one merged write carrying several records for the
 	// same key: one latency charge, one message, per-record handler
-	// delivery in order.
+	// delivery in order. Like Write, it does not read the records (or the
+	// slice holding them) after it returns.
 	WriteBatch(from, to int, key string, records [][]byte) error
 
 	// Ping performs a synchronous health probe. Implementations must

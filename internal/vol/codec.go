@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 
+	"malt/internal/dstorm"
 	"malt/internal/ml/linalg"
 )
 
@@ -17,14 +19,58 @@ import (
 // to *numbers* — garbage values, not parser crashes — matching the paper's
 // observation that stochastic training tolerates occasional corrupt updates.
 // The one exception is a torn sparse count, which is bounds-checked.
+//
+// Dense wire image. On a little-endian host a dense payload is byte for
+// byte the float64s in memory, so an uncompressed Dense vector is stored
+// as its own wire frame: Create allocates wireHead float64s of headroom in
+// front of the data, dstorm stamps its header into the last HeaderSize
+// bytes of that headroom, and the frame goes to the transport without an
+// encode or a header copy. The receiver reads a dense payload in place
+// (denseView) out of dstorm's gather snapshot, which places payloads
+// 8-byte aligned. Big-endian hosts, and any payload that is misaligned or
+// of the wrong length, take the PutUint64/Float64frombits loops below.
+
+// nativeLE reports whether the host stores float64s in the wire's byte
+// order.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wireHead is the headroom, in float64s, in front of a framed vector's
+// data; the frame starts HeaderSize bytes before the data.
+const wireHead = 3
+
+// The headroom must hold dstorm's header (a negative constant does not
+// convert to uint, so this fails to compile if it does not).
+const _ = uint(8*wireHead - dstorm.HeaderSize)
+
+// newWireImage allocates a dim-long vector with dstorm headroom in front
+// and returns the data and the frame (header + data bytes) over the same
+// memory.
+func newWireImage(dim int) (data []float64, frame []byte) {
+	back := make([]float64, wireHead+dim)
+	raw := unsafe.Slice((*byte)(unsafe.Pointer(&back[0])), 8*len(back))
+	return back[wireHead:], raw[8*wireHead-dstorm.HeaderSize:]
+}
+
+// denseView returns a dense payload as dim float64s sharing its memory, or
+// nil when it cannot: on a big-endian host, when the payload is not 8-byte
+// aligned, or when it is not 8*dim bytes long.
+func denseView(payload []byte, dim int) []float64 {
+	if !nativeLE || dim <= 0 || len(payload) != 8*dim {
+		return nil
+	}
+	p := unsafe.Pointer(unsafe.SliceData(payload))
+	if uintptr(p)%8 != 0 {
+		return nil
+	}
+	return unsafe.Slice((*float64)(p), dim)
+}
 
 func (v *Vector) encode(data []float64) ([]byte, error) {
 	switch v.typ {
 	case Dense:
 		return encodeDense(v.encBuf, data), nil
 	case Sparse:
-		sv := linalg.FromDense(data)
-		return encodeSparse(v.encBuf, sv)
+		return encodeSparseDense(v.encBuf, data)
 	default:
 		return nil, fmt.Errorf("vol: unknown type %d", v.typ)
 	}
@@ -49,6 +95,35 @@ func decodeDenseInto(dst []float64, payload []byte) error {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
 	}
 	return nil
+}
+
+// encodeSparseDense encodes the nonzero entries of data (v != 0, as
+// linalg.FromDense selects them: -0.0 is skipped, NaN kept) in one pass
+// over data. Indices land in place; values land at the offset a full
+// buffer would give them and move down behind the indices once the count
+// is known.
+func encodeSparseDense(buf []byte, data []float64) ([]byte, error) {
+	capNNZ := (len(buf) - 4) / 12
+	vals := 4 + 4*capNNZ
+	nnz := 0
+	for i, f := range data {
+		if f == 0 {
+			continue
+		}
+		if nnz < capNNZ {
+			binary.LittleEndian.PutUint32(buf[4+4*nnz:], uint32(i))
+			binary.LittleEndian.PutUint64(buf[vals+8*nnz:], math.Float64bits(f))
+		}
+		nnz++
+	}
+	need := 4 + 12*nnz
+	if nnz > capNNZ {
+		return nil, fmt.Errorf("vol: sparse update with %d entries exceeds MaxNNZ capacity (%d bytes > %d)",
+			nnz, need, len(buf))
+	}
+	binary.LittleEndian.PutUint32(buf[0:4], uint32(nnz))
+	copy(buf[4+4*nnz:need], buf[vals:vals+8*nnz])
+	return buf[:need], nil
 }
 
 func encodeSparse(buf []byte, sv *linalg.SparseVector) ([]byte, error) {

@@ -125,16 +125,25 @@ type GatherPerf struct {
 	// ChunksFolded is the number of chunk-form UDF invocations; a serial
 	// fold through a chunk form counts one whole-vector chunk.
 	ChunksFolded uint64
-	// ScratchHits is the number of decode scratch buffers reused without
-	// allocation — the steady-state value equals the number of updates
-	// decoded.
+	// ScratchHits is the number of updates decoded without allocating: a
+	// dense payload read in place, or a reused decode scratch buffer. The
+	// steady-state value equals the number of updates decoded.
 	ScratchHits uint64
 }
 
 // updScratch is one update slot's reusable decode storage.
 type updScratch struct {
-	dense []float64
+	view  []float64 // this gather's dense payload read in place, or nil
+	dense []float64 // decode storage, allocated when a payload has no view
 	sv    linalg.SparseVector
+}
+
+// decoded returns the slot's decoded update.
+func (s *updScratch) decoded() []float64 {
+	if s.view != nil {
+		return s.view
+	}
+	return s.dense
 }
 
 // Vector is a shared model-parameter or gradient vector.
@@ -147,7 +156,8 @@ type Vector struct {
 	data      []float64
 	foldChunk int
 
-	encBuf    []byte
+	frame     []byte                           // header headroom + data: the wire image (codec.go), or nil
+	encBuf    []byte                           // encode buffer of vectors without a wire image
 	updateBuf []Update                         // per-gather decoded views
 	accept    func(from int, iter uint64) bool // transient GatherIf filter
 
@@ -212,17 +222,22 @@ func Create(node *dstorm.Node, name string, typ Type, dim int, graph *dataflow.G
 	if err != nil {
 		return nil, err
 	}
-	return &Vector{
+	v := &Vector{
 		name:      name,
 		typ:       typ,
 		dim:       dim,
 		rank:      node.Rank(),
 		seg:       seg,
-		data:      make([]float64, dim),
 		foldChunk: opts.FoldChunk,
-		encBuf:    make([]byte, objSize),
 		comp:      comp,
-	}, nil
+	}
+	if typ == Dense && comp == nil && nativeLE {
+		v.data, v.frame = newWireImage(dim)
+	} else {
+		v.data = make([]float64, dim)
+		v.encBuf = make([]byte, objSize)
+	}
+	return v, nil
 }
 
 // Name returns the vector's name.
@@ -255,10 +270,15 @@ func (v *Vector) Segment() *dstorm.Segment { return v.seg }
 func (v *Vector) SetIteration(iter uint64) { v.seg.SetIteration(iter) }
 
 // Scatter serializes the local value and pushes it to all dataflow peers,
-// returning the peers whose writes failed.
+// returning the peers whose writes failed. A dense vector that is its own
+// wire image (codec.go) is handed to the transport as it is; the local
+// value may be overwritten as soon as Scatter returns.
 func (v *Vector) Scatter(iter uint64) ([]int, error) {
 	if v.comp != nil {
 		return v.scatterCompressed(nil, iter)
+	}
+	if v.frame != nil {
+		return v.seg.ScatterFramed(v.frame, iter)
 	}
 	payload, err := v.encode(v.data)
 	if err != nil {
@@ -273,6 +293,9 @@ func (v *Vector) Scatter(iter uint64) ([]int, error) {
 func (v *Vector) ScatterTo(peers []int, iter uint64) ([]int, error) {
 	if v.comp != nil {
 		return v.scatterCompressed(peers, iter)
+	}
+	if v.frame != nil {
+		return v.seg.ScatterTo(peers, v.frame[dstorm.HeaderSize:], iter)
 	}
 	payload, err := v.encode(v.data)
 	if err != nil {
@@ -330,8 +353,10 @@ func (v *Vector) GatherWeak(udf UDF) (GatherStats, error) {
 // gather is the receive half of the parallel gather engine. It runs in
 // three stages: (1) accept-filter the raw updates serially (the GatherIf
 // callback is caller-owned state) and assign each survivor a reusable
-// decode-scratch slot; (2) decode — fanned across the node's gather pool
-// when one is enabled, serial otherwise; (3) assemble the decoded views in
+// decode-scratch slot, viewing an uncompressed dense payload in place and
+// allocating decode storage only for payloads without a view; (2) decode —
+// fanned across the node's gather pool when one is enabled, serial
+// otherwise; (3) assemble the decoded views in
 // arrival order and fold them, chunked across the coordinate axis when the
 // UDF has a registered chunk form. Stage ordering keeps the observable
 // behaviour (update order, error choice, stats) identical to the serial
@@ -367,11 +392,17 @@ func (v *Vector) gather(udf UDF, mode dstorm.GatherMode, weak bool) (GatherStats
 	for len(v.errBuf) < len(acc) {
 		v.errBuf = append(v.errBuf, nil)
 	}
-	for i := range acc {
-		if len(v.scratch[i].dense) == v.dim {
+	inPlace := v.typ == Dense && v.comp == nil
+	for i, u := range acc {
+		s := &v.scratch[i]
+		s.view = nil
+		if inPlace {
+			s.view = denseView(u.Data, v.dim)
+		}
+		if s.view != nil || len(s.dense) == v.dim {
 			v.perf.ScratchHits++
 		} else {
-			v.scratch[i].dense = make([]float64, v.dim)
+			s.dense = make([]float64, v.dim)
 		}
 	}
 
@@ -401,7 +432,7 @@ func (v *Vector) gather(udf UDF, mode dstorm.GatherMode, weak bool) (GatherStats
 			return stats, derr
 		}
 		v.noteUpdate(&stats, u)
-		upd := Update{From: u.From, Iter: u.Iter, Data: v.scratch[i].dense}
+		upd := Update{From: u.From, Iter: u.Iter, Data: v.scratch[i].decoded()}
 		if v.typ == Sparse {
 			upd.Sparse = &v.scratch[i].sv
 		}
@@ -420,9 +451,13 @@ func (v *Vector) gather(udf UDF, mode dstorm.GatherMode, weak bool) (GatherStats
 	return stats, nil
 }
 
-// decodeInto decodes one raw payload into an update slot's scratch. Sparse
-// updates are densified so every UDF sees a uniform dense view.
+// decodeInto decodes one raw payload into an update slot's scratch (a
+// no-op when stage 1 found a view). Sparse updates are densified so every
+// UDF sees a uniform dense view.
 func (v *Vector) decodeInto(s *updScratch, payload []byte) error {
+	if s.view != nil {
+		return nil
+	}
 	if v.comp != nil {
 		return compress.Decode(s.dense, 0, payload)
 	}
